@@ -230,27 +230,30 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(path) -> Model:
+def _load_model(path, k=None) -> Model:
+    """The model in `path`, its undo budget replaced by `k` when given."""
     if not os.path.exists(path):
         raise UsageError(f"model file not found: {path}")
-    return Model.load(path)
+    model = Model.load(path)
+    if k is not None:
+        model = replace(model, machine=replace(model.machine, k=k))
+    return model
 
 
 def cmd_decode(args) -> int:
-    model = _load_model(args.model)
+    model = _load_model(args.model, args.k)
     if args.machine and args.machine != model.machine.kind:
         raise ValueError(
             f"model is a {model.machine.kind}, not the requested {args.machine}"
         )
     sentences = _read_corpus(args.input)
-    results = decode_corpus(model, sentences, k=args.k)
+    results = decode_corpus(model, sentences)
     with open(args.output, "w", encoding="utf-8") as f:
         f.write(serialize([r.predicted for r in results]))
     if args.trace:
-        machine = results[0].machine if results else model.machine
         with open(args.trace, "w", encoding="utf-8") as f:
             for r in results:
-                f.write(render_trace(machine, r.sentence, r.log))
+                f.write(render_trace(model.machine, r.sentence, r.log))
                 f.write("\n")
     _write_manifest(
         args.output + ".manifest.json",
@@ -288,11 +291,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    model = _load_model(args.model)
+    model = _load_model(args.model, args.k)
     gold = _read_corpus(args.gold)
-    results = decode_corpus(model, gold, k=args.k)
-    machine = results[0].machine if results else model.machine
-    stats = back_stats(machine, results, gold)
+    stats = back_stats(model.machine, decode_corpus(model, gold), gold)
     out = {
         "n_actions": stats.n_actions,
         "n_errors": stats.n_errors,
@@ -314,12 +315,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    model = _load_model(args.model)
-    sentences = _read_corpus(args.input)
-    results = decode_corpus(model, sentences, k=args.k)
-    machine = results[0].machine if results else model.machine
-    for r in results:
-        print(render_trace(machine, r.sentence, r.log))
+    model = _load_model(args.model, args.k)
+    for r in decode_corpus(model, _read_corpus(args.input)):
+        print(render_trace(model.machine, r.sentence, r.log))
     return 0
 
 

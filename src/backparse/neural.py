@@ -16,6 +16,7 @@ from .corpus import Sentence, UNK_TAG
 from .machine import (
     BACK,
     BACK_STATE,
+    KINDS,
     LEFT,
     NOBACK,
     PARSER,
@@ -93,17 +94,24 @@ def build_vocabs(sentences, tags: tuple[str, ...]) -> dict[str, Vocab]:
 
 
 def load_word_vectors(path) -> dict[str, np.ndarray]:
-    """Plain-text vectors, one `word v1 .. vD` line each; a leading
-    `count dim` header line is tolerated."""
+    """Plain-text vectors, one `word v1 .. vD` line each, fields split on
+    any whitespace; a leading `count dim` header line is tolerated.  A row
+    that is not a word and D finite numbers raises ValueError at path:line."""
     vectors = {}
+    dim = None
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) == 2 and not vectors:
-                continue  # header
-            if len(parts) < 3:
-                continue
-            vectors[parts[0]] = np.asarray(parts[1:], dtype=np.float32)
+        for lineno, line in enumerate(f, start=1):
+            parts = line.split()
+            if not parts or (lineno == 1 and len(parts) == 2 and all(p.isdigit() for p in parts)):
+                continue  # blank line or header
+            try:
+                vec = np.asarray(parts[1:], dtype=np.float32)
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+            dim = len(vec) if dim is None else dim
+            if len(vec) == 0 or len(vec) != dim or not np.isfinite(vec).all():
+                raise ValueError(f"{path}:{lineno}: expected a word and {dim or 'some'} finite numbers")
+            vectors[parts[0]] = vec
     return vectors
 
 
@@ -466,12 +474,20 @@ class Model:
 
     @classmethod
     def load(cls, path) -> "Model":
+        """Read a model file; a malformed one raises one ValueError that
+        names it."""
+        try:
+            return cls._read(path)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+
+    @classmethod
+    def _read(cls, path) -> "Model":
         with open(path, "rb") as f:
             header = f.readline()
             blob = f.read()
         meta = json.loads(header.decode("utf-8"))
-        if meta["format"] != FORMAT_VERSION:
-            raise ValueError(f"unsupported model format {meta['format']}")
+        _check_header(meta, len(blob))
         kind = meta["machine"]
         tags = tuple(meta["tags"])
         vocabs = {sp: Vocab(tuple(symbols)) for sp, symbols in meta["vocabs"].items()}
@@ -489,8 +505,63 @@ class Model:
         for name, shape in meta["tensors"]:
             size = int(np.prod(shape)) * 4
             arr = np.frombuffer(blob[off : off + size], dtype="<f4").reshape(shape)
+            # min and max carry any NaN and show any infinity, with no
+            # temporary the size of the tensor (w1 is 73 MB at paper scale).
+            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+                raise ValueError(f"tensor {name} holds non-finite values")
             np.copyto(net.get_param(name), arr)
             off += size
-        if off != len(blob):
-            raise ValueError("model payload size does not match the declared tensors")
         return cls(machine=machine, extractor=extractor, net=net, gamma=meta["gamma"])
+
+
+HEADER_KEYS = ("format", "machine", "k", "gamma", "tags", "dims", "hidden", "dropout",
+               "heads", "layout", "vocabs", "tensors")
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+
+
+def _check_header(meta, payload_bytes: int) -> None:
+    """Raise ValueError unless the header is a format-1 header whose layout,
+    dims and heads fit its machine kind, and whose tensor list has the
+    shapes they imply and the size of the payload."""
+    if not isinstance(meta, dict):
+        raise ValueError("model header is not a JSON object")
+    missing = [key for key in HEADER_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"model header lacks {', '.join(missing)}")
+    if meta["format"] != FORMAT_VERSION:
+        raise ValueError(f"unsupported model format {meta['format']}")
+    kind, tags, k = meta["machine"], meta["tags"], meta["k"]
+    if kind not in KINDS:
+        raise ValueError(f"unknown machine kind {kind!r}")
+    if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+        raise ValueError("tags must be a list of strings")
+    if not (k == 0 or _is_count(k)):
+        raise ValueError(f"undo budget k must be an integer >= 0, got {k!r}")
+    dims, vocabs, hidden = meta["dims"], meta["vocabs"], meta["hidden"]
+    if not (isinstance(dims, dict) and isinstance(vocabs, dict) and all(
+        _is_count(dims.get(sp)) and isinstance(vocabs.get(sp), list) for sp in SPACES
+    )):
+        raise ValueError(f"dims and vocabs need a positive size and a list for each of {SPACES}")
+    if not _is_count(hidden):
+        raise ValueError(f"hidden must be a positive integer, got {hidden!r}")
+    if not all(isinstance(meta[key], (int, float)) and np.isfinite(meta[key])
+               for key in ("gamma", "dropout")):
+        raise ValueError("gamma and dropout must be finite numbers")
+    layout = slot_layout(kind)
+    if meta["layout"] != [list(slot) for slot in layout]:
+        raise ValueError(f"layout does not list the {len(layout)} feature slots of a {kind}")
+    heads = heads_for_kind(kind, len(tags))
+    if meta["heads"] != heads:
+        raise ValueError(f"heads {meta['heads']} do not fit a {kind} with {len(tags)} tags")
+    input_dim = sum(dims[sp] for sp, _ in layout)
+    shapes = [[f"emb:{sp}", [len(SPECIALS) + len(vocabs[sp]), dims[sp]]] for sp in SPACES]
+    shapes += [["w1", [input_dim, hidden]], ["b1", [hidden]]]
+    for h in sorted(heads):
+        shapes += [[f"head:{h}:w", [hidden, heads[h]]], [f"head:{h}:b", [heads[h]]]]
+    if meta["tensors"] != shapes:
+        raise ValueError("declared tensors do not match the shapes the layout, dims and heads imply")
+    if 4 * sum(int(np.prod(shape)) for _, shape in shapes) != payload_bytes:
+        raise ValueError("model payload size does not match the declared tensors")

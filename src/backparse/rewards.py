@@ -5,7 +5,7 @@ import math
 
 from .corpus import Sentence
 from .machine import Action, Configuration, Machine, TerminalError
-from .oracle import reachable_gold_arcs
+from .oracle import dynamic_oracle
 
 ILLEGAL_REWARD = -1.5
 
@@ -15,17 +15,16 @@ def tag_reward(predicted: str, gold: str) -> float:
 
 
 def parse_reward(c: Configuration, a: Action, s: Sentence, machine: Machine) -> float:
-    """Minus the number of gold arcs the action destroys; -1.5 if the
-    action cannot be executed at all (popping an empty stack and kin)."""
+    """Minus the action's dynamic-oracle cost, the number of gold arcs it
+    destroys; -1.5 if the action cannot be executed at all (popping an
+    empty stack and kin)."""
     try:
         legal = machine.legal_actions(c)
     except TerminalError:
         return ILLEGAL_REWARD
     if a not in legal:
         return ILLEGAL_REWARD
-    before = reachable_gold_arcs(c, s)
-    after = reachable_gold_arcs(machine.apply(c, a), s)
-    return float(after - before)
+    return float(-dynamic_oracle(c, a, s, machine).loss)
 
 
 def back_reward(undone_rewards) -> float:

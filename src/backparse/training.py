@@ -148,26 +148,17 @@ def build_model(kind: str, train_sentences, cfg: TrainConfig, k: int) -> Model:
 # action selection and environment stepping
 
 
-def _greedy(model: Model, machine: Machine, c: Configuration, s: Sentence):
-    head = head_for_state(c.state)
-    ids = model.extractor.extract(c, s, machine)
-    q, _ = model.net.forward(ids, head)
-    legal = machine.legal_actions(c)
-    order = model.head_actions(head)
-    values = np.array([q[order.index(a)] for a in legal])
-    return legal[int(np.argmax(values))]
-
-
 def select_action(model, machine, c, s, epsilon, beta, rng):
     """Random with probability epsilon, oracle with probability beta,
-    otherwise the model's best legal action."""
+    otherwise the model's best legal action.  Every caller passes
+    `model.machine` as `machine`."""
     legal = machine.legal_actions(c)
     u = rng.random()
     if u < epsilon:
         return legal[int(rng.integers(len(legal)))]
     if u < epsilon + beta:
         return oracle_action(c, s, machine)
-    return _greedy(model, machine, c, s)
+    return model.greedy_action(c, s)
 
 
 def _advance_forced(machine, c, s, with_rewards: bool) -> Configuration:
@@ -186,8 +177,11 @@ def _advance_forced(machine, c, s, with_rewards: bool) -> Configuration:
 
 
 def decode(model: Model, sentence: Sentence, k: int | None = None) -> DecodeResult:
-    """Pure greedy decoding; dropout off, no exploration."""
-    machine = model.machine if k is None else replace(model.machine, k=k)
+    """Pure greedy decoding; dropout off, no exploration.  A given `k`
+    overrides the model's undo budget for this call."""
+    if k is not None:
+        model = replace(model, machine=replace(model.machine, k=k))
+    machine = model.machine
     bound = max_actions(sentence.n, machine.k, machine.kind)
     c = machine.initial(sentence)
     while not c.terminal:
@@ -198,7 +192,7 @@ def decode(model: Model, sentence: Sentence, k: int | None = None) -> DecodeResu
             raise AssertionError(
                 f"decode used {len(c.log)} actions, above the {bound} bound"
             )
-        a = _greedy(model, machine, c, sentence)
+        a = model.greedy_action(c, sentence)
         c = machine.apply(c, a)
     if len(c.log) > bound:
         raise AssertionError(
@@ -232,12 +226,12 @@ def _predicted_sentence(machine, sentence, c: Configuration) -> Sentence:
 # evaluation helpers shared by both regimes
 
 
-def _dev_metrics(model, machine, dev):
+def _dev_metrics(model, dev):
     from .evaluation import score  # local import to avoid a cycle
 
     if not dev:
         return None, 0
-    results = [decode(model, s, k=machine.k) for s in dev]
+    results = [decode(model, s) for s in dev]
     metrics = score([r.predicted for r in results], dev)
     backs = sum(1 for r in results for e in r.log if e.action.kind == "back")
     return metrics, backs
@@ -287,13 +281,13 @@ def train_supervised(train, dev, kind: str, cfg: TrainConfig):
     history = []
     for epoch in range(1, epochs + 1):
         if epoch >= 3 and (epoch - 3) % 2 == 0:
-            pairs = _dynamic_pairs(model, machine, train)
+            pairs = _dynamic_pairs(model, train)
         order = rng.permutation(len(pairs))
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [pairs[i] for i in order[start : start + cfg.batch_size]]
             losses.append(_supervised_step(model.net, batch, cfg.alpha, rng))
-        metrics, backs = _dev_metrics(model, machine, dev)
+        metrics, backs = _dev_metrics(model, dev)
         sel = _selection_score(kind, metrics)
         if sel is not None and (best_score is None or sel > best_score):
             best, best_score = model.net.copy_params(), sel
@@ -330,9 +324,10 @@ def _supervised_step(net, batch, alpha, rng):
     return float(np.mean(losses))
 
 
-def _dynamic_pairs(model, machine, train):
+def _dynamic_pairs(model, train):
     """Decode the training set with the current model; the dynamic oracle
     labels every configuration the classifier faced."""
+    machine = model.machine
     pairs = []
     for s in train:
         bound = max_actions(s.n, machine.k, machine.kind)
@@ -346,7 +341,7 @@ def _dynamic_pairs(model, machine, train):
             pairs.append(
                 (model.extractor.extract(c, s, machine), head, model.action_index(head, gold))
             )
-            c = machine.apply(c, _greedy(model, machine, c, s))
+            c = machine.apply(c, model.greedy_action(c, s))
     return pairs
 
 
@@ -390,14 +385,14 @@ def train_rl(train, dev, kind: str, cfg: TrainConfig, regime: str):
                 if c2.terminal:
                     target = q_target(r, None, cfg.gamma)
                 else:
-                    _, next_q = _legal_q(model, machine, c2, s)
+                    _, next_q = model.q_legal(c2, s)
                     target = q_target(r, next_q, cfg.gamma)
                 losses.append(
                     td_update(model.net, ids, head, model.action_index(head, a),
                               target, cfg.alpha, drop_rng=rng)
                 )
                 c = c2
-        metrics, backs = _dev_metrics(model, machine, dev)
+        metrics, backs = _dev_metrics(model, dev)
         sel = _selection_score(kind, metrics)
         if sel is not None and (best_score is None or sel > best_score):
             best, best_score = model.net.copy_params(), sel
@@ -407,15 +402,6 @@ def train_rl(train, dev, kind: str, cfg: TrainConfig, regime: str):
     if best is not None:
         model.net.set_params(best)
     return model, history
-
-
-def _legal_q(model, machine, c, s):
-    head = head_for_state(c.state)
-    ids = model.extractor.extract(c, s, machine)
-    q, _ = model.net.forward(ids, head)
-    legal = machine.legal_actions(c)
-    order = model.head_actions(head)
-    return legal, np.array([q[order.index(a)] for a in legal])
 
 
 def _metrics_row(epoch, losses, metrics, backs, aborted, eps=None, beta=None):

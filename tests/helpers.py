@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import random
 
 import numpy as np
@@ -224,3 +225,17 @@ def small_config(**overrides) -> TrainConfig:
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def corrupt_model(path, case: str) -> None:
+    """Rewrite a saved model file with one defect: missing-hidden (a header
+    key dropped), short-layout (one feature slot fewer) or nan-weight."""
+    header, blob = path.read_bytes().split(b"\n", 1)
+    meta = json.loads(header)
+    if case == "missing-hidden":
+        del meta["hidden"]
+    elif case == "short-layout":
+        meta["layout"] = meta["layout"][:-1]
+    else:
+        blob = np.array([np.nan], dtype="<f4").tobytes() + blob[4:]
+    path.write_bytes(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n" + blob)

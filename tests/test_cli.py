@@ -4,7 +4,7 @@ import pytest
 
 from backparse.cli import main
 from backparse.corpus import parse_conllu, serialize
-from helpers import alternation_corpus, toy_grammar_corpus
+from helpers import alternation_corpus, corrupt_model, toy_grammar_corpus
 
 
 @pytest.fixture
@@ -158,6 +158,15 @@ class TestDecodeEvalStats:
     def test_trace_prints_blocks(self, corpus_file, trained, capsys):
         assert run("trace", "--model", trained, "--input", corpus_file) == 0
         assert "actions:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", ["missing-hidden", "short-layout", "nan-weight"])
+    def test_malformed_model_is_one_error_line(self, tmp_path, corpus_file, trained, capsys, case):
+        corrupt_model(trained, case)
+        code = run("decode", "--model", trained, "--input", corpus_file,
+                   "--output", tmp_path / "p.conllu")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {trained}: ")
 
     def test_decode_trace_k0_has_no_back_lines(self, tmp_path, corpus_file, trained):
         pred = tmp_path / "pred.conllu"

@@ -339,6 +339,31 @@ class TestWorstCaseBound:
         if k == 0:
             assert worst == bound
 
+    @pytest.mark.xfail(strict=True, reason="the parser bound 4nk+3n does not hold: pops after a redo grow with the stack")
+    def test_parser_bound_holds_on_pop_then_redo_walk(self):
+        # A legal k=1 walk: at each word LEFT-pop the whole stack, SHIFT,
+        # BACK, then redo the word with a bare SHIFT.  The redo leaves every
+        # word on the stack, so the pops grow with i and the walk takes 93
+        # actions at n=10 (bound 70) and 978 at n=40 (bound 280).
+        m = Machine("parser", k=1)
+        lengths = {}
+        for n in (10, 40):
+            c = m.initial(simple_sent([0] + [1] * (n - 1)))
+            redo = False
+            while not c.terminal:
+                legal = m.legal_actions(c)
+                if c.state == BACK_STATE:
+                    a = BACK if BACK in legal and not redo else NOBACK
+                elif LEFT in legal and not redo:
+                    a = LEFT
+                else:
+                    a = SHIFT if SHIFT in legal else REDUCE
+                redo = a == BACK or (redo and a != SHIFT)
+                c = m.apply(c, a)
+            lengths[n] = len(c.log)
+        assert lengths == {10: 93, 40: 978}  # the walk is the one described above
+        assert all(count <= max_actions(n, 1, "parser") for n, count in lengths.items())
+
 
 class TestTrace:
     def test_trace_blocks_mirror_visits(self):

@@ -27,7 +27,14 @@ from backparse.neural import (
     td_update,
 )
 from backparse.training import build_model
-from helpers import random_legal_walk, random_tagged_sentence, sent, simple_sent, small_config
+from helpers import (
+    corrupt_model,
+    random_legal_walk,
+    random_tagged_sentence,
+    sent,
+    simple_sent,
+    small_config,
+)
 
 TAGS = ("<unk>", "A", "B")
 
@@ -343,3 +350,16 @@ class TestSerialization:
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError):
             Model.load(path)
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [("missing-hidden", "lacks hidden"), ("short-layout", "layout"), ("nan-weight", "non-finite")],
+    )
+    def test_malformed_file_is_one_value_error_naming_it(self, tmp_path, case, message):
+        corpus = [random_tagged_sentence(4, random.Random(6)) for _ in range(4)]
+        path = tmp_path / "m.bpm"
+        build_model("tagparser", corpus, small_config(), k=1).save(path)
+        corrupt_model(path, case)
+        with pytest.raises(ValueError, match=message) as info:
+            Model.load(path)
+        assert str(info.value).startswith(f"{path}: ")

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from backparse.machine import BACK_STATE, Machine, NOBACK, max_actions
+from backparse.machine import BACK, BACK_STATE, Machine, NOBACK, max_actions
+from backparse.neural import BACK_ACTIONS, HEAD_BACK, load_word_vectors
 from backparse.oracle import oracle_action
 from backparse.training import (
     REGIME_RL,
@@ -180,6 +183,23 @@ class TestDecode:
             assert all(0 <= t.head <= s.n for t in res.predicted.tokens)
 
 
+class TestDecodeBudgetOverride:
+    def test_k_override_equals_model_with_that_budget(self):
+        corpus = toy_grammar_corpus(8, seed=9)
+        model = build_model("tagparser", corpus, small_config(), k=1)
+        model.net.heads[HEAD_BACK][1][BACK_ACTIONS.index(BACK)] = 0.5  # let BACK fire
+        own = model.machine
+        backs = {}
+        for j in (0, 1, 2):
+            with_budget = replace(model, machine=replace(own, k=j))
+            results = [decode(model, s, k=j) for s in corpus]
+            assert results == [decode(with_budget, s) for s in corpus]
+            assert all(r.machine.k == j for r in results)
+            backs[j] = sum(e.action == BACK for r in results for e in r.log)
+        assert model.machine is own and own.k == 1
+        assert backs[0] == 0 and backs[2] > backs[1] > 0
+
+
 class TestWordVectors:
     def test_pretrained_rows_are_used(self, tmp_path):
         corpus = alternation_corpus(5, seed=0)
@@ -190,6 +210,20 @@ class TestWordVectors:
         model = build_model("tagger", corpus, cfg, k=0)
         row = model.extractor.vocabs["word"].index["tok"]
         assert np.allclose(model.net.emb["word"][row], 0.25)
+
+    def test_any_whitespace_separates_fields(self, tmp_path):
+        vec_file = tmp_path / "vectors.txt"
+        vec_file.write_text("2 2\ntok  0.5 0.25\nfoo\t1 2 \n\n", encoding="utf-8")
+        vectors = load_word_vectors(vec_file)
+        assert sorted(vectors) == ["foo", "tok"]
+        assert vectors["tok"].tolist() == [0.5, 0.25]
+
+    @pytest.mark.parametrize("row", ["foo 0.1 x", "foo 0.1", "foo 0.1 nan", "foo"])
+    def test_bad_row_names_path_and_line(self, tmp_path, row):
+        vec_file = tmp_path / "vectors.txt"
+        vec_file.write_text(f"tok 0.5 0.25\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="vectors.txt:2: "):
+            load_word_vectors(vec_file)
 
     def test_dim_mismatch_rejected(self, tmp_path):
         corpus = alternation_corpus(5, seed=0)
