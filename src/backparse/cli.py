@@ -236,7 +236,7 @@ def _load_model(path, k=None) -> Model:
         raise UsageError(f"model file not found: {path}")
     model = Model.load(path)
     if k is not None:
-        model = replace(model, machine=replace(model.machine, k=k))
+        model = model.with_k(k)
     return model
 
 

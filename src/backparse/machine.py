@@ -7,7 +7,7 @@ inverse needs, so any configuration can be rolled back action by action.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 TAGGER = "tagger"
 PARSER = "parser"
@@ -63,10 +63,10 @@ class TerminalError(ValueError):
 class Action:
     kind: str                 # tag | left | right | shift | reduce | back | noback
     tag: str | None = None    # set for tag actions only
+    symbol: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def symbol(self) -> str:
-        return f"tag:{self.tag}" if self.kind == "tag" else self.kind
+    def __post_init__(self):
+        object.__setattr__(self, "symbol", f"tag:{self.tag}" if self.kind == "tag" else self.kind)
 
     def __repr__(self):
         return self.symbol.upper()
@@ -82,6 +82,15 @@ NOBACK = Action("noback")
 
 def tag_action(tag: str) -> Action:
     return Action("tag", tag)
+
+
+# Every legal-action set outside POS, each in its head's fixed order.
+_NOBACK_ONLY = (NOBACK,)
+_BACK_OR_NOT = (NOBACK, BACK)
+_REDUCE_ONLY = (REDUCE,)
+_SHIFT_ONLY = (SHIFT,)
+_TOP_GOVERNED = (RIGHT, REDUCE, SHIFT)
+_TOP_UNGOVERNED = (LEFT, RIGHT, SHIFT)
 
 
 @dataclass(frozen=True)
@@ -162,6 +171,8 @@ class Machine:
     kind: str
     k: int = 0
     tags: tuple[str, ...] = ()
+    # One action per tag, in tag order: the POS state's legal actions.
+    tag_actions: tuple[Action, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -170,6 +181,7 @@ class Machine:
             raise ValueError("undo budget k must be >= 0")
         if self.kind != PARSER and not self.tags:
             raise ValueError(f"{self.kind} machine needs a tag inventory")
+        object.__setattr__(self, "tag_actions", tuple(tag_action(t) for t in self.tags))
 
     # ------------------------------------------------------------------
     # construction and action inventory
@@ -196,26 +208,19 @@ class Machine:
         if c.terminal:
             raise TerminalError("terminal configuration has no legal actions")
         if c.state == BACK_STATE:
-            acts = [NOBACK]
             if self._back_possible(c.back_counts, c.word_index, c.n, c.live):
-                acts.append(BACK)
-            return tuple(acts)
+                return _BACK_OR_NOT
+            return _NOBACK_ONLY
         if c.state == POS_STATE:
-            return tuple(tag_action(t) for t in self.tags)
+            return self.tag_actions
         # SYNT
         if c.word_index > c.n:
-            return (REDUCE,)  # end-of-sentence stack cleanup
-        acts = []
-        if c.stack:
-            top = c.stack[-1]
-            if not cell_is_value(c.gov_tape[top - 1]):
-                acts.append(LEFT)
-            acts.append(RIGHT)
-            if cell_is_value(c.gov_tape[top - 1]):
-                acts.append(REDUCE)
-        acts.append(SHIFT)
-        order = {LEFT: 0, RIGHT: 1, REDUCE: 2, SHIFT: 3}
-        return tuple(sorted(acts, key=order.__getitem__))
+            return _REDUCE_ONLY  # end-of-sentence stack cleanup
+        if not c.stack:
+            return _SHIFT_ONLY
+        if cell_is_value(c.gov_tape[c.stack[-1] - 1]):
+            return _TOP_GOVERNED
+        return _TOP_UNGOVERNED
 
     def back_allowed(self, c: Configuration) -> bool:
         return self._back_possible(c.back_counts, c.word_index, c.n, c.live)

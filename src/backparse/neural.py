@@ -7,8 +7,9 @@ task; forward and backward passes are plain numpy.
 """
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,10 +28,9 @@ from .machine import (
     TAGGER,
     Action,
     Configuration,
+    EMPTY,
     ERASED,
     Machine,
-    cell_is_value,
-    tag_action,
 )
 
 # Shared unavailability symbols; every space reserves these first rows.
@@ -139,76 +139,117 @@ class FeatureExtractor:
         self.kind = kind
         self.vocabs = vocabs
         self.layout = slot_layout(kind)
+        # Special-symbol ids, resolved once.  They are looked up rather than
+        # taken from SPECIALS' order: a corpus symbol spelled like a special
+        # shadows it in its vocabulary.
+        pos_v, word_v, letter_v = vocabs["pos"], vocabs["word"], vocabs["letter"]
+        self._pos_oob = pos_v.id(OUT_OF_BOUNDS)
+        self._pos_not_seen = pos_v.id(NOT_SEEN)
+        self._pos_erased = pos_v.id(ERASED_SYM)
+        self._pos_no_dep = pos_v.id(NO_DEP_GOV)
+        self._pos_empty_stack = pos_v.id(EMPTY_STACK)
+        self._word_oob = word_v.id(OUT_OF_BOUNDS)
+        self._word_not_seen = word_v.id(NOT_SEEN)
+        self._letter_oob = letter_v.id(OUT_OF_BOUNDS)
+        self._letter_pad = letter_v.id(PAD)
+        self._action_pad = vocabs["action"].id(PAD)
+        self._flag = (vocabs["flag"].id("0"), vocabs["flag"].id("1"))
+        self._pos_index = pos_v.index
+        self._sentence_ids = None
 
     def extract(self, c: Configuration, s: Sentence, machine: Machine) -> np.ndarray:
-        pos_v, word_v = self.vocabs["pos"], self.vocabs["word"]
-        letter_v, action_v = self.vocabs["letter"], self.vocabs["action"]
-        ids = []
+        tokens = s.tokens
+        wi, n, frontier = c.word_index, len(tokens), c.frontier
+        pos_feature = self._pos_feature
+        ids = [pos_feature(c, tokens, wi + d) for d in WINDOW]
 
+        word_ids, affix_ids = self._token_ids(s)
         for d in WINDOW:
-            ids.append(self._pos_feature(c, s, c.word_index + d, pos_v))
-        for d in WINDOW:
-            p = c.word_index + d
-            if p < 1 or p > s.n:
-                ids.append(word_v.id(OUT_OF_BOUNDS))
-            elif p > c.frontier:
-                ids.append(word_v.id(NOT_SEEN))
+            p = wi + d
+            if p < 1 or p > n:
+                ids.append(self._word_oob)
+            elif p > frontier:
+                ids.append(self._word_not_seen)
             else:
-                ids.append(word_v.id(s.form(p)))
+                ids.append(word_ids[p - 1])
 
         if self.kind != TAGGER:
+            stack, tape = c.stack, c.gov_tape
+            # Every governor cell the machine writes belongs to a word left of
+            # the frontier, which never moves left, so the cells from the
+            # frontier on are EMPTY and hold no dependent.
+            written = tape[: frontier - 1]
+            no_dep = self._pos_no_dep
+            reverse = None
             for r in range(STACK_DEPTH):
-                if r >= len(c.stack):
-                    ids += [pos_v.id(EMPTY_STACK)] * 3
+                if r >= len(stack):
+                    ids += [self._pos_empty_stack] * 3
                     continue
-                e = c.stack[-1 - r]
-                gov = c.gov_tape[e - 1]
+                e = stack[-1 - r]
+                gov = tape[e - 1]
                 if gov is ERASED:
-                    ids.append(pos_v.id(ERASED_SYM))
-                elif not cell_is_value(gov) or gov == 0:
-                    ids.append(pos_v.id(NO_DEP_GOV))
+                    ids.append(self._pos_erased)
+                elif gov is EMPTY or gov == 0:
+                    ids.append(no_dep)
                 else:
-                    ids.append(self._pos_feature(c, s, gov, pos_v))
-                deps = [j + 1 for j, g in enumerate(c.gov_tape) if cell_is_value(g) and g == e]
-                for pick in (min, max):
-                    if deps:
-                        ids.append(self._pos_feature(c, s, pick(deps), pos_v))
-                    else:
-                        ids.append(pos_v.id(NO_DEP_GOV))
+                    ids.append(pos_feature(c, tokens, gov))
+                # The dependents of e are the cells equal to e.  Since e >= 1
+                # and neither EMPTY nor ERASED equals an int, the tuple's own
+                # search finds exactly them: its first hit is the leftmost,
+                # the first hit in the reversed cells the rightmost.
+                if e in written:
+                    if reverse is None:
+                        reverse = written[::-1]
+                    ids.append(pos_feature(c, tokens, written.index(e) + 1))
+                    ids.append(pos_feature(c, tokens, len(written) - reverse.index(e)))
+                else:
+                    ids += [no_dep, no_dep]
 
-        recent = c.log[-HISTORY_LEN:][::-1]
-        for i in range(HISTORY_LEN):
-            if i < len(recent):
-                ids.append(action_v.id(recent[i].action.symbol))
-            else:
-                ids.append(action_v.id(PAD))
+        action = self.vocabs["action"].index.get
+        recent = c.log[-HISTORY_LEN:]
+        ids += [action(entry.action.symbol, 0) for entry in reversed(recent)]
+        ids += [self._action_pad] * (HISTORY_LEN - len(recent))
 
-        if c.word_index > s.n:
-            ids += [letter_v.id(OUT_OF_BOUNDS)] * (2 * AFFIX_LEN)
+        if wi > n:
+            ids += [self._letter_oob] * (2 * AFFIX_LEN)
         else:
-            form = s.form(c.word_index)
-            for i in range(AFFIX_LEN):
-                ids.append(letter_v.id(form[i]) if i < len(form) else letter_v.id(PAD))
-            for i in range(AFFIX_LEN):
-                j = len(form) - AFFIX_LEN + i
-                ids.append(letter_v.id(form[j]) if j >= 0 else letter_v.id(PAD))
+            ids += affix_ids[wi - 1]
 
-        ids.append(self.vocabs["flag"].id("1" if machine.back_allowed(c) else "0"))
-        return np.asarray(ids, dtype=np.int64)
+        ids.append(self._flag[machine.back_allowed(c)])
+        return np.fromiter(ids, np.int64, len(ids))
 
-    def _pos_feature(self, c, s, p, pos_v) -> int:
-        if p < 1 or p > s.n:
-            return pos_v.id(OUT_OF_BOUNDS)
+    def _token_ids(self, s: Sentence):
+        """Each token's word id and its prefix+suffix letter ids.  They do
+        not depend on the configuration, so they are computed once for the
+        sentence last asked about."""
+        memo = self._sentence_ids
+        if memo is None or memo[0] is not s:
+            word = self.vocabs["word"].index.get
+            letter = self.vocabs["letter"].index.get
+            pad = [self._letter_pad] * AFFIX_LEN
+            word_ids, affix_ids = [], []
+            for t in s.tokens:
+                prefix = [letter(ch, 0) for ch in t.form[:AFFIX_LEN]]
+                suffix = [letter(ch, 0) for ch in t.form[-AFFIX_LEN:]]
+                word_ids.append(word(t.form, 0))
+                # a short word pads its prefix on the right, its suffix on the left
+                affix_ids.append(prefix + pad[len(prefix):] + pad[len(suffix):] + suffix)
+            memo = self._sentence_ids = (s, word_ids, affix_ids)
+        return memo[1], memo[2]
+
+    def _pos_feature(self, c, tokens, p) -> int:
+        if p < 1 or p > len(tokens):
+            return self._pos_oob
         if p > c.frontier:
-            return pos_v.id(NOT_SEEN)
+            return self._pos_not_seen
         if self.kind == PARSER:
-            return pos_v.id(s.upos(p))
+            return self._pos_index.get(tokens[p - 1].upos, 0)
         cell = c.pos_tape[p - 1]
         if cell is ERASED:
-            return pos_v.id(ERASED_SYM)
-        if not cell_is_value(cell):
-            return pos_v.id(NOT_SEEN)  # value still pending at or past wi
-        return pos_v.id(cell)
+            return self._pos_erased
+        if cell is EMPTY:
+            return self._pos_not_seen  # value still pending at or past wi
+        return self._pos_index.get(cell, 0)
 
 
 # ----------------------------------------------------------------------
@@ -288,6 +329,14 @@ class QNetwork:
         for sp, _ in self.layout:
             self._offsets.append((sp, off, off + self.space_dims[sp]))
             off += self.space_dims[sp]
+        # Maximal runs of consecutive slots in one space, as (space, first
+        # slot, end slot): forward gathers each run with one take.
+        self._runs = []
+        start = 0
+        for sp, run in itertools.groupby(sp for sp, _ in self.layout):
+            end = start + len(list(run))
+            self._runs.append((sp, start, end))
+            start = end
 
     # -- parameter access ------------------------------------------------
 
@@ -324,9 +373,10 @@ class QNetwork:
             raise ValueError(f"{len(ids)} feature ids for {len(self.layout)} slots")
         if head not in self.heads:
             raise ValueError(f"unknown head {head!r}")
+        emb = self.emb
         x = np.concatenate(
-            [self.emb[sp][ids[i]] for i, (sp, _) in enumerate(self.layout)]
-        ).astype(self.dtype)
+            [emb[sp].take(ids[lo:hi], axis=0).ravel() for sp, lo, hi in self._runs]
+        ).astype(self.dtype, copy=False)
         p = self.dropout
         mask_in = mask_h = None
         if drop_rng is not None and p > 0:
@@ -422,16 +472,28 @@ class Model:
     extractor: FeatureExtractor
     net: QNetwork
     gamma: float
+    # Per head, the Q column of each of its actions.
+    _columns: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._columns = {
+            head: {a: i for i, a in enumerate(self.head_actions(head))}
+            for head in (HEAD_TAG, HEAD_PARSE, HEAD_BACK)
+        }
 
     def head_actions(self, head: str) -> tuple[Action, ...]:
         if head == HEAD_TAG:
-            return tuple(tag_action(t) for t in self.machine.tags)
+            return self.machine.tag_actions
         if head == HEAD_PARSE:
             return PARSE_ACTIONS
         return BACK_ACTIONS
 
     def action_index(self, head: str, a: Action) -> int:
-        return self.head_actions(head).index(a)
+        return self._columns[head][a]
+
+    def with_k(self, k: int) -> "Model":
+        """This model with its undo budget replaced by k."""
+        return replace(self, machine=replace(self.machine, k=k))
 
     def q_legal(self, c: Configuration, s: Sentence):
         """Legal actions with their Q-values, dropout off."""
@@ -439,9 +501,8 @@ class Model:
         ids = self.extractor.extract(c, s, self.machine)
         q, _ = self.net.forward(ids, head)
         legal = self.machine.legal_actions(c)
-        order = self.head_actions(head)
-        values = np.array([q[order.index(a)] for a in legal])
-        return legal, values
+        columns = self._columns[head]
+        return legal, q[[columns[a] for a in legal]]
 
     def greedy_action(self, c: Configuration, s: Sentence) -> Action:
         legal, values = self.q_legal(c, s)

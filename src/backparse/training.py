@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -180,7 +180,7 @@ def decode(model: Model, sentence: Sentence, k: int | None = None) -> DecodeResu
     """Pure greedy decoding; dropout off, no exploration.  A given `k`
     overrides the model's undo budget for this call."""
     if k is not None:
-        model = replace(model, machine=replace(model.machine, k=k))
+        model = model.with_k(k)
     machine = model.machine
     bound = max_actions(sentence.n, machine.k, machine.kind)
     c = machine.initial(sentence)

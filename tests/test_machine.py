@@ -23,6 +23,7 @@ from backparse.machine import (
     replay,
     tag_action,
 )
+from backparse.neural import BACK_ACTIONS, PARSE_ACTIONS
 from helpers import random_legal_walk, random_tagged_sentence, sent, simple_sent
 
 TAGS = ("A", "B", "C")
@@ -91,6 +92,26 @@ class TestLegalActions:
         c = m.initial(sent([], [], []))
         with pytest.raises(TerminalError):
             m.legal_actions(c)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_fixed_head_order_in_every_state(self, k):
+        rng = random.Random(40 + k)
+        head_order = {BACK_STATE: BACK_ACTIONS, POS_STATE: tuple(tag_action(t) for t in TAGS),
+                      SYNT_STATE: PARSE_ACTIONS}
+        seen = set()
+        for m in machines(k):
+            for _ in range(8):
+                s = random_tagged_sentence(rng.randint(1, 8), rng, projective=False)
+                for c in random_legal_walk(m, s, rng, steps=80, back_bias=0.3):
+                    if c.terminal:
+                        continue
+                    legal = m.legal_actions(c)
+                    order = head_order[c.state]
+                    assert legal == tuple(a for a in order if a in legal), (c.state, legal)
+                    seen.add((m.kind, c.state, legal))
+        # every legal set a parsing state can offer turned up
+        synt = {legal for kind, state, legal in seen if state == SYNT_STATE}
+        assert synt == {(SHIFT,), (REDUCE,), (LEFT, RIGHT, SHIFT), (RIGHT, REDUCE, SHIFT)}
 
     def test_left_blocked_once_governed(self):
         m = Machine("parser", k=0)

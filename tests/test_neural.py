@@ -4,20 +4,23 @@ import random
 import numpy as np
 import pytest
 
-from backparse.machine import BACK, Machine, NOBACK, SHIFT, tag_action
+from backparse.machine import BACK, ERASED, Machine, NOBACK, SHIFT, cell_is_value, tag_action
 from backparse.neural import (
     EMPTY_STACK,
     ERASED_SYM,
     FeatureExtractor,
     HISTORY_LEN,
     Model,
+    NO_DEP_GOV,
     NOT_SEEN,
     OUT_OF_BOUNDS,
     PAD,
     QNetwork,
     SPECIALS,
+    STACK_DEPTH,
     build_vocabs,
     cross_entropy,
+    head_for_state,
     heads_for_kind,
     q_target,
     slot_layout,
@@ -142,6 +145,71 @@ class TestFeatures:
                     assert len(ids) == len(ex.layout)
                     assert all(0 <= i for i in ids)
 
+    @staticmethod
+    def reference_pos_id(kind, pos_v, c, s, p):
+        if p < 1 or p > s.n:
+            return pos_v.id(OUT_OF_BOUNDS)
+        if p > c.frontier:
+            return pos_v.id(NOT_SEEN)
+        if kind == "parser":
+            return pos_v.id(s.upos(p))
+        cell = c.pos_tape[p - 1]
+        if cell is ERASED:
+            return pos_v.id(ERASED_SYM)
+        return pos_v.id(cell) if cell_is_value(cell) else pos_v.id(NOT_SEEN)
+
+    @pytest.mark.parametrize("kind", ["parser", "tagparser"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_dependent_slots_match_brute_force_scan(self, kind, k):
+        rng = random.Random(31 + k)
+        corpus = [random_tagged_sentence(rng.randint(2, 12), rng, projective=False)
+                  for _ in range(12)]
+        tags = tag_inventory(corpus)
+        vocabs = build_vocabs(corpus, tags)
+        pos_v = vocabs["pos"]
+        m = Machine(kind, k=k, tags=() if kind == "parser" else tags)
+        ex = FeatureExtractor(kind, vocabs)
+        names = [name for _, name in ex.layout]
+        erased_seen = spread_seen = 0
+        for s in corpus:
+            for c in random_legal_walk(m, s, rng, steps=120, back_bias=0.3):
+                if c.terminal:
+                    continue
+                ids = ex.extract(c, s, m)
+                erased_seen += ERASED in c.gov_tape
+                for r in range(1, STACK_DEPTH + 1):
+                    if r > len(c.stack):
+                        want = [pos_v.id(EMPTY_STACK)] * 2
+                    else:
+                        e = c.stack[-r]
+                        deps = [j + 1 for j, g in enumerate(c.gov_tape) if cell_is_value(g) and g == e]
+                        spread_seen += len(deps) > 1
+                        want = [self.reference_pos_id(kind, pos_v, c, s, pick(deps))
+                                if deps else pos_v.id(NO_DEP_GOV) for pick in (min, max)]
+                    got = [ids[names.index(f"s{r}.ldep.pos")], ids[names.index(f"s{r}.rdep.pos")]]
+                    assert got == want, (c, r)
+        assert erased_seen > 0 and spread_seen > 0
+
+
+class TestQLegal:
+    @pytest.mark.parametrize("kind", ["tagger", "parser", "tagparser"])
+    def test_values_are_the_head_columns_of_the_legal_actions(self, kind):
+        rng = random.Random(12)
+        corpus = [random_tagged_sentence(rng.randint(1, 8), rng, projective=False)
+                  for _ in range(6)]
+        model = build_model(kind, corpus, small_config(hidden=8), k=2)
+        m = model.machine
+        for s in corpus:
+            for c in random_legal_walk(m, s, rng, steps=60, back_bias=0.3):
+                if c.terminal:
+                    continue
+                head = head_for_state(c.state)
+                q, _ = model.net.forward(model.extractor.extract(c, s, m), head)
+                legal, values = model.q_legal(c, s)
+                assert legal == m.legal_actions(c)
+                assert list(values) == [q[model.head_actions(head).index(a)] for a in legal]
+                assert values.dtype == q.dtype
+
 
 class TestLosses:
     def test_smooth_l1_quadratic_branch(self):
@@ -178,6 +246,17 @@ class TestQTarget:
 
 
 class TestForward:
+    @pytest.mark.parametrize("kind", ["tagger", "parser", "tagparser"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_is_the_per_slot_embedding_concatenation(self, kind, dtype):
+        net = tiny_net(kind, dtype=dtype)
+        rng = random.Random(2)
+        for _ in range(20):
+            ids = random_ids(net, rng)
+            _, (_, x, *_) = net.forward(ids, "back")
+            want = np.concatenate([net.emb[sp][ids[i]] for i, (sp, _) in enumerate(net.layout)])
+            assert x.dtype == want.dtype and x.tobytes() == want.tobytes()
+
     def test_deterministic_without_dropout(self):
         net = tiny_net()
         rng = random.Random(0)

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +23,7 @@ from backparse.training import (
 from helpers import (
     alternation_corpus,
     lookahead_corpus,
+    random_tagged_sentence,
     simple_sent,
     small_config,
     toy_grammar_corpus,
@@ -198,6 +201,37 @@ class TestDecodeBudgetOverride:
             backs[j] = sum(e.action == BACK for r in results for e in r.log)
         assert model.machine is own and own.k == 1
         assert backs[0] == 0 and backs[2] > backs[1] > 0
+
+
+class TestGoldenDecode:
+    """Seeded hidden-8 models of every kind and budget decode a fixed set
+    of sentences; the digest of their action logs, heads and tags was
+    computed before the per-decision scoring path was optimised, so any
+    change to what decode does shows here."""
+
+    DIGEST = "ec13fc80de50bfb44d5b9986e940dad27a311980b80fa3bff35c7a9da6d47f3b"
+
+    def test_decodes_match_recorded_digest(self):
+        rng = random.Random(5)
+        corpus = (
+            toy_grammar_corpus(6, seed=9)
+            + alternation_corpus(3, seed=6)
+            + lookahead_corpus(3, seed=2)
+            + [random_tagged_sentence(n, rng, projective=False) for n in (1, 4, 9, 14)]
+        )
+        lines = []
+        for kind in ("tagger", "parser", "tagparser"):
+            for k in (0, 1, 2):
+                model = build_model(kind, corpus, small_config(hidden=8), k=k)
+                for s in corpus:
+                    res = decode(model, s)
+                    lines.append(" ".join(
+                        [kind, str(k), "|", *(e.action.symbol for e in res.log), "|",
+                         *(f"{t.head}/{t.upos}" for t in res.predicted.tokens)]
+                    ))
+        backs = sum(line.count(" back ") for line in lines)
+        assert backs > 0
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
 
 
 class TestWordVectors:
