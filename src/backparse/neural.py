@@ -156,8 +156,22 @@ class FeatureExtractor:
         self._flag = (vocabs["flag"].id("0"), vocabs["flag"].id("1"))
         self._pos_index = pos_v.index
         self._sentence_ids = None
+        self._last = None
 
     def extract(self, c: Configuration, s: Sentence, machine: Machine) -> np.ndarray:
+        """The ids of c's features.  Configurations are immutable, so the
+        ids of the one last asked about are returned again, not recomputed:
+        online Q-learning scores a successor for its TD target and then
+        acts from it and updates on it.  Callers must not write to the ids.
+        (Marking them read-only made desk-scale decoding about 10% slower.)"""
+        last = self._last
+        if last is not None and last[0] is c and last[1] is s and last[2] is machine:
+            return last[3]
+        ids = self._extract(c, s, machine)
+        self._last = (c, s, machine, ids)
+        return ids
+
+    def _extract(self, c: Configuration, s: Sentence, machine: Machine) -> np.ndarray:
         tokens = s.tokens
         wi, n, frontier = c.word_index, len(tokens), c.frontier
         pos_feature = self._pos_feature
@@ -285,6 +299,26 @@ def q_target(reward: float, next_qs, gamma: float) -> float:
 # ----------------------------------------------------------------------
 # network
 
+# Elements of w1 that the weight update rewrites per block: 1 MB of float32,
+# or 81 rows of a paper-size w1 (hidden 3200).
+BLOCK_ELEMS = 1 << 18
+
+
+class OuterGrad:
+    """The gradient of w1 kept as its factors: the dense gradient is
+    u @ v, with u of shape (input, B) and v of shape (B, hidden), a sum of
+    B outer products.  np.asarray(g) builds the dense array; apply_grads
+    never does."""
+
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: np.ndarray, v: np.ndarray):
+        self.u = u
+        self.v = v
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.u @ self.v, dtype=dtype)
+
 
 class QNetwork:
     def __init__(
@@ -323,6 +357,12 @@ class QNetwork:
                 rng.uniform(-lim, lim, (hidden, out)).astype(dtype),
                 np.zeros(out, dtype=dtype),
             ]
+
+        # apply_grads updates w1 through this buffer, one block of whole
+        # rows of about BLOCK_ELEMS elements: at desk scale it holds all of
+        # w1 and the update is one block.
+        rows = max(1, min(self.input_dim, BLOCK_ELEMS // hidden))
+        self._block = np.empty((rows, hidden), dtype=dtype)
 
         self._offsets = []
         off = 0
@@ -403,7 +443,7 @@ class QNetwork:
         dh = dact * (h > 0)
         if mask_h is not None:
             dh = dh * mask_h
-        grads["w1"] = np.outer(x, dh).astype(self.dtype)
+        grads["w1"] = OuterGrad(x[:, None], dh[None, :])
         grads["b1"] = dh
         dx = (self.w1 @ dh).astype(self.dtype)
         if mask_in is not None:
@@ -420,8 +460,26 @@ class QNetwork:
             if name == "emb":
                 for sp, row, vec in g:
                     self.emb[sp][row] -= step * vec
+            elif name == "w1":
+                self._apply_outer(g, step)
             else:
                 self.get_param(name)[...] -= step * g
+
+    def _apply_outer(self, g: OuterGrad, step: float) -> None:
+        """w1 -= step * (g.u @ g.v), in place, one block of rows at a time
+        through the reused block buffer, so no input x hidden array is
+        made.  With one example the block is the outer product, computed as
+        np.outer computes it, so each element is rounded as in
+        `w1 -= step * np.outer(x, dh)`; matmul gives the same bits there but
+        is about five times slower.  More examples make one GEMM per block."""
+        w1, buf = self.w1, self._block
+        rows = len(buf)
+        product = np.multiply if g.u.shape[1] == 1 else np.matmul
+        for a in range(0, len(w1), rows):
+            u = g.u[a : a + rows]
+            t = product(u, g.v, out=buf[: len(u)])
+            t *= step
+            w1[a : a + rows] -= t
 
 
 def td_update(net, ids, head, action_index, target, alpha, drop_rng=None) -> float:
@@ -438,12 +496,42 @@ def td_update(net, ids, head, action_index, target, alpha, drop_rng=None) -> flo
     return loss
 
 
-def supervised_update(net, ids, head, gold_index, alpha, drop_rng=None) -> float:
-    """One cross-entropy step treating the head as a classifier."""
+def supervised_grads(net, ids, head, gold_index, drop_rng=None):
+    """Cross-entropy loss of one example, treating the head as a
+    classifier, and its gradients."""
     q, cache = net.forward(ids, head, drop_rng)
     loss, dlogits = cross_entropy(q, gold_index)
-    net.apply_grads(net.backward(cache, dlogits), alpha)
+    if not (np.isfinite(loss) and np.isfinite(dlogits).all()):
+        raise FloatingPointError("non-finite supervised gradient")
+    return loss, net.backward(cache, dlogits)
+
+
+def supervised_update(net, ids, head, gold_index, alpha, drop_rng=None) -> float:
+    """One cross-entropy step on one example."""
+    loss, grads = supervised_grads(net, ids, head, gold_index, drop_rng)
+    net.apply_grads(grads, alpha)
     return loss
+
+
+def sum_grads(grads_list) -> dict:
+    """The sum of several examples' gradients, in the form backward
+    returns: dense arrays added in order, embedding rows listed one after
+    another, w1 factors joined into one OuterGrad."""
+    total = {"emb": []}
+    w1 = []
+    for grads in grads_list:
+        for name, g in grads.items():
+            if name == "emb":
+                total["emb"].extend(g)
+            elif name == "w1":
+                w1.append(g)
+            elif name in total:
+                total[name] += g
+            else:
+                total[name] = g.copy()
+    total["w1"] = OuterGrad(np.concatenate([g.u for g in w1], axis=1),
+                            np.concatenate([g.v for g in w1], axis=0))
+    return total
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,8 @@ from .neural import (
     heads_for_kind,
     q_target,
     slot_layout,
+    sum_grads,
+    supervised_grads,
     supervised_update,
     tag_inventory,
     td_update,
@@ -300,27 +302,14 @@ def train_supervised(train, dev, kind: str, cfg: TrainConfig):
 
 
 def _supervised_step(net, batch, alpha, rng):
+    """One step on the mean gradient of the batch's examples, all taken at
+    the same parameters."""
     if len(batch) == 1:
         ids, head, gold = batch[0]
         return supervised_update(net, ids, head, gold, alpha, drop_rng=rng)
-    from .neural import cross_entropy
-
-    total = {}
-    losses = []
-    for ids, head, gold in batch:
-        q, cache = net.forward(ids, head, drop_rng=rng)
-        loss, dlogits = cross_entropy(q, gold)
-        losses.append(loss)
-        grads = net.backward(cache, dlogits)
-        emb = grads.pop("emb")
-        for name, g in grads.items():
-            if name in total:
-                total[name] += g
-            else:
-                total[name] = g.copy()
-        total.setdefault("emb", []).extend(emb)
-    scale = 1.0 / len(batch)
-    net.apply_grads(total, alpha, scale=scale)
+    losses, grads = zip(*(supervised_grads(net, ids, head, gold, drop_rng=rng)
+                          for ids, head, gold in batch))
+    net.apply_grads(sum_grads(grads), alpha, scale=1.0 / len(batch))
     return float(np.mean(losses))
 
 

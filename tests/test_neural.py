@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from backparse.machine import BACK, ERASED, Machine, NOBACK, SHIFT, cell_is_value, tag_action
 from backparse.neural import (
+    BLOCK_ELEMS,
     EMPTY_STACK,
     ERASED_SYM,
     FeatureExtractor,
@@ -29,7 +31,7 @@ from backparse.neural import (
     tag_inventory,
     td_update,
 )
-from backparse.training import build_model
+from backparse.training import _supervised_step, build_model
 from helpers import (
     corrupt_model,
     random_legal_walk,
@@ -128,6 +130,16 @@ class TestFeatures:
         c = m.apply(c, tag_action("DET"))
         ids = ex.extract(c, s, m)
         assert ids[-1] == vocabs["flag"].id("1")
+
+    def test_ids_of_the_last_configuration_are_reused(self):
+        ex, m, s, vocabs = self.make("tagger", k=1)
+        c = m.apply(m.apply(m.initial(s), NOBACK), tag_action("DET"))
+        ids = ex.extract(c, s, m)
+        assert ex.extract(c, s, m) is ids
+        # The same configuration under another budget: the flag is recomputed.
+        no_undo = Machine("tagger", k=0, tags=m.tags)
+        assert ex.extract(c, s, no_undo)[-1] == vocabs["flag"].id("0")
+        assert ex.extract(c, s, m)[-1] == vocabs["flag"].id("1")
 
     def test_every_slot_always_populated(self):
         rng = random.Random(8)
@@ -395,6 +407,86 @@ class TestGradients:
         losses = [supervised_update(net, ids, "tag", 2, alpha=0.05) for _ in range(150)]
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < 0.05
+
+
+class TestUpdate:
+    def test_block_update_equals_dense_step_bit_for_bit(self):
+        # Wide enough that the update of w1 runs in four row blocks, the
+        # last one ragged.
+        net = tiny_net("tagger", hidden=BLOCK_ELEMS // 40, dtype=np.float32)
+        rows = BLOCK_ELEMS // net.hidden
+        assert net.input_dim > 3 * rows and net.input_dim % rows
+        ids = random_ids(net, random.Random(1))
+        q, cache = net.forward(ids, "tag", drop_rng=np.random.default_rng(2))
+        _, dlogits = cross_entropy(q, 1)
+        grads = net.backward(cache, dlogits)
+        x, dh = cache[1], grads["b1"]
+
+        step = 0.05
+        expected = net.copy_params()
+        expected["w1"] -= step * np.outer(x, dh).astype(np.float32)
+        for name, g in grads.items():
+            if name == "emb":
+                for sp, row, vec in g:
+                    expected[f"emb:{sp}"][row] -= step * vec
+            elif name != "w1":
+                expected[name] -= step * g
+        net.apply_grads(grads, step)
+        for name in net.param_names():
+            assert net.get_param(name).dtype == np.float32
+            assert np.array_equal(net.get_param(name), expected[name]), name
+
+    def test_td_update_makes_no_dense_w1_gradient(self):
+        dims = {"word": 32, "pos": 16, "letter": 16, "action": 16, "flag": 16}
+        net = QNetwork(
+            layout=slot_layout("tagparser"),
+            vocab_sizes={"word": 12, "pos": 10, "letter": 9, "action": 11, "flag": 9},
+            space_dims=dims,
+            hidden=2048,
+            heads=heads_for_kind("tagparser", 3),
+        )
+        assert net.input_dim == 688
+        ids = random_ids(net, random.Random(4))
+        # One dense w1 gradient alone would take w1.nbytes.
+        tracemalloc.start()
+        try:
+            td_update(net, ids, "parse", 1, 3.0, alpha=0.01, drop_rng=np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < net.w1.nbytes / 2, (peak, net.w1.nbytes)
+
+    def test_batch_step_is_the_mean_example_gradient(self):
+        net = tiny_net("tagparser", seed=5)
+        rng = random.Random(5)
+        batch = [(random_ids(net, rng), "tag", 2), (random_ids(net, rng), "parse", 1),
+                 (random_ids(net, rng), "tag", 0)]
+        before = net.copy_params()
+        total = {name: np.zeros_like(p) for name, p in before.items()}
+        drop = np.random.default_rng(11)
+        for ids, head, gold in batch:
+            q, cache = net.forward(ids, head, drop)
+            _, dlogits = cross_entropy(q, gold)
+            for name, g in dense_analytic(net, net.backward(cache, dlogits)).items():
+                total[name] += g
+        alpha = 0.1
+        _supervised_step(net, batch, alpha, np.random.default_rng(11))
+        for name in net.param_names():
+            expected = before[name] - (alpha / 3) * total[name]
+            worst = np.max(np.abs(net.get_param(name) - expected) / np.maximum(1.0, np.abs(expected)))
+            assert worst < 1e-12, (name, worst)
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_non_finite_supervised_step_raises(self, batch_size):
+        net = tiny_net("tagger", seed=4)
+        net.w1[0, 0] = np.nan
+        rng = random.Random(4)
+        batch = [(random_ids(net, rng), "tag", 1) for _ in range(batch_size)]
+        before = net.copy_params()
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            _supervised_step(net, batch, 0.1, np.random.default_rng(0))
+        after = net.copy_params()
+        assert all(np.array_equal(before[n], after[n], equal_nan=True) for n in before)
 
 
 class TestSerialization:

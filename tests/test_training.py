@@ -234,6 +234,35 @@ class TestGoldenDecode:
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
 
 
+class TestGoldenTraining:
+    """Desk-size (hidden 64, word 32, feature 16) tagparser models trained
+    with batch-1 supervised steps and with rl-backtrack TD steps; the
+    digest of their saved bytes was computed before the weight update
+    moved to in-place row blocks, which must not change a bit of it."""
+
+    DIGEST = "04f91bbca052f139b165fd0b3285afdc084300f67f66a356c928522556eaf6ac"
+
+    def test_model_bytes_match_recorded_digest(self, tmp_path):
+        corpus = toy_grammar_corpus(8, seed=11)
+        cfg = small_config(epochs=3, hidden=64, word_dim=32, feat_dim=16, dropout=0.3)
+        digest = hashlib.sha256()
+        for model, _ in (train_supervised(corpus, corpus[:3], "tagparser", cfg),
+                         train_rl(corpus, corpus[:3], "tagparser", cfg, REGIME_RL_BACKTRACK)):
+            model.save(tmp_path / "m")
+            digest.update((tmp_path / "m").read_bytes())
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_batched_supervised_run_is_deterministic(self, tmp_path):
+        corpus = toy_grammar_corpus(8, seed=12)
+        cfg = small_config(epochs=3, batch_size=3)
+        blobs = []
+        for i in range(2):
+            model, _ = train_supervised(corpus, corpus[:3], "tagparser", cfg)
+            model.save(tmp_path / f"m{i}")
+            blobs.append((tmp_path / f"m{i}").read_bytes())
+        assert blobs[0] == blobs[1]
+
+
 class TestWordVectors:
     def test_pretrained_rows_are_used(self, tmp_path):
         corpus = alternation_corpus(5, seed=0)
