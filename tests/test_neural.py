@@ -27,6 +27,7 @@ from backparse.neural import (
     q_target,
     slot_layout,
     smooth_l1,
+    sum_grads,
     supervised_update,
     tag_inventory,
     td_update,
@@ -436,6 +437,22 @@ class TestUpdate:
             assert net.get_param(name).dtype == np.float32
             assert np.array_equal(net.get_param(name), expected[name]), name
 
+    def test_initial_weights_are_one_stream_of_draws(self):
+        # w1 is drawn in four row blocks, the last one ragged; the weights
+        # must be those of one call per tensor.
+        net = tiny_net("tagger", hidden=BLOCK_ELEMS // 40, seed=3, dtype=np.float32)
+        assert net.input_dim > 3 * len(net._block) and net.input_dim % len(net._block)
+        rng = np.random.default_rng(3)
+        expected = {f"emb:{sp}": rng.normal(0.0, 0.1, t.shape).astype(np.float32) for sp, t in net.emb.items()}
+        lim = np.sqrt(6.0 / (net.input_dim + net.hidden))
+        expected["w1"] = rng.uniform(-lim, lim, net.w1.shape).astype(np.float32)
+        for name in sorted(net.heads):
+            w = net.heads[name][0]
+            lim = np.sqrt(6.0 / (net.hidden + w.shape[1]))
+            expected[f"head:{name}:w"] = rng.uniform(-lim, lim, w.shape).astype(np.float32)
+        for name, want in expected.items():
+            assert np.array_equal(net.get_param(name), want), name
+
     def test_td_update_makes_no_dense_w1_gradient(self):
         dims = {"word": 32, "pos": 16, "letter": 16, "action": 16, "flag": 16}
         net = QNetwork(
@@ -489,6 +506,106 @@ class TestUpdate:
         assert all(np.array_equal(before[n], after[n], equal_nan=True) for n in before)
 
 
+def emb_triples(net, ids, cache, grads):
+    """The (space, row, vector) triples of one example, one per slot, with
+    dx recomputed from the cache as w1 @ dh times the input dropout mask."""
+    dx = (net.w1 @ grads["b1"]).astype(net.dtype)
+    if cache[5] is not None:
+        dx = dx * cache[5]
+    triples, off = [], 0
+    for i, (sp, _) in enumerate(net.layout):
+        width = net.space_dims[sp]
+        triples.append((sp, int(ids[i]), dx[off : off + width]))
+        off += width
+    return triples
+
+
+def repeating_ids(net, rng):
+    """Random ids with PAD in every history slot, a repeat within one run
+    of slots, and one pos id shared by a window slot and a stack slot, a
+    repeat across runs."""
+    names = [name for _, name in net.layout]
+    ids = random_ids(net, rng)
+    for i, name in enumerate(names):
+        if name.startswith("hist"):
+            ids[i] = SPECIALS.index(PAD)
+    ids[names.index("s1.gov.pos")] = ids[names.index("w+0.pos")]
+    return ids
+
+
+class TestEmbeddingUpdate:
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_scatter_update_equals_per_row_loop_bit_for_bit(self, batch):
+        net = tiny_net("tagparser", dtype=np.float32)
+        rng, drop = random.Random(8), np.random.default_rng(8)
+        examples = [(repeating_ids(net, rng), head, gold)
+                    for head, gold in (("tag", 1), ("parse", 3), ("tag", 0))[:batch]]
+        grads = []
+        for ids, head, gold in examples:
+            q, cache = net.forward(ids, head, drop)
+            grads.append(net.backward(cache, cross_entropy(q, gold)[1]))
+        rows = [(sp, row) for g in grads for sp, row, _ in g["emb"]]
+        per_example = len(net.layout)
+        assert len(set(rows[:per_example])) < per_example
+        if batch > 1:
+            assert set(rows[:per_example]) & set(rows[per_example:])
+
+        step = 0.5 / batch
+        expected = net.copy_params()
+        for g in grads:
+            for sp, row, vec in g["emb"]:
+                expected[f"emb:{sp}"][row] -= step * vec
+        net.apply_grads(grads[0] if batch == 1 else sum_grads(grads), 0.5, scale=1.0 / batch)
+        for sp in net.emb:
+            assert net.emb[sp].dtype == np.float32
+            assert np.array_equal(net.emb[sp], expected[f"emb:{sp}"]), sp
+
+    def test_emb_grad_yields_the_per_slot_triples(self):
+        net = tiny_net("tagparser", dtype=np.float32)
+        rng, drop = random.Random(7), np.random.default_rng(7)
+        grads, expected = [], []
+        for head, gold in (("tag", 1), ("parse", 3), ("back", 0)):
+            ids = random_ids(net, rng)
+            q, cache = net.forward(ids, head, drop)
+            g = net.backward(cache, cross_entropy(q, gold)[1])
+            grads.append(g)
+            expected.append(emb_triples(net, ids, cache, g))
+
+        def same(got, want):
+            assert len(got) == len(want)
+            for (sp, row, vec), (sp2, row2, vec2) in zip(got, want):
+                assert sp == sp2 and type(row) is int and row == row2
+                assert vec.dtype == vec2.dtype and np.array_equal(vec, vec2)
+
+        for g, want in zip(grads, expected):
+            same(list(g["emb"]), want)
+        same(list(sum_grads(grads)["emb"]), [t for want in expected for t in want])
+
+    def test_tables_stay_views_of_one_buffer(self, tmp_path):
+        corpus = [random_tagged_sentence(5, random.Random(4)) for _ in range(5)]
+        model = build_model("tagparser", corpus, small_config(), k=1)
+        net = model.net
+
+        def one_buffer(net):
+            return (sum(t.size for t in net.emb.values()) == net._emb_flat.size
+                    and all(np.shares_memory(t, net._emb_flat) for t in net.emb.values()))
+
+        assert one_buffer(net)
+        net.set_params({name: p * 0.5 for name, p in net.copy_params().items()})
+        assert one_buffer(net)
+        m, s = model.machine, corpus[0]
+        ids = model.extractor.extract(m.initial(s), s, m)
+        flat = net._emb_flat.copy()
+        supervised_update(net, ids, "tag", 1, alpha=0.1)
+        assert one_buffer(net) and not np.array_equal(flat, net._emb_flat)
+
+        model.save(tmp_path / "m.bpm")
+        loaded = Model.load(tmp_path / "m.bpm")
+        assert one_buffer(loaded.net)
+        for head in net.heads:
+            assert np.array_equal(net.forward(ids, head)[0], loaded.net.forward(ids, head)[0])
+
+
 class TestSerialization:
     def test_save_load_bit_exact(self, tmp_path):
         corpus = [random_tagged_sentence(5, random.Random(4)) for _ in range(5)]
@@ -521,6 +638,24 @@ class TestSerialization:
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError):
             Model.load(path)
+
+    def test_load_draws_no_random_weights(self, tmp_path):
+        # Loading allocates the network and copies each tensor in; drawing
+        # random weights first made a float64 w1 temporary (twice w1) and
+        # reading the payload whole held it, briefly twice, beside the net.
+        corpus = [random_tagged_sentence(5, random.Random(4)) for _ in range(5)]
+        model = build_model("tagparser", corpus, small_config(hidden=2048, word_dim=32, feat_dim=16), k=1)
+        assert model.net.input_dim == 688
+        path = tmp_path / "m.bpm"
+        model.save(path)
+        tracemalloc.start()
+        try:
+            loaded = Model.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.net.w1, model.net.w1)
+        assert peak < 3 * model.net.w1.nbytes, (peak, model.net.w1.nbytes)
 
     @pytest.mark.parametrize(
         "case,message",

@@ -1,12 +1,13 @@
 import hashlib
 import random
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from backparse.machine import BACK, BACK_STATE, Machine, NOBACK, max_actions
-from backparse.neural import BACK_ACTIONS, HEAD_BACK, load_word_vectors
+from backparse.neural import BACK_ACTIONS, HEAD_BACK, Model, load_word_vectors
 from backparse.oracle import oracle_action
 from backparse.training import (
     REGIME_RL,
@@ -261,6 +262,37 @@ class TestGoldenTraining:
             model.save(tmp_path / f"m{i}")
             blobs.append((tmp_path / f"m{i}").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestGoldenModelFile:
+    """A format-1 tagparser model file (hidden 8, word 4, feature 2, k=1),
+    written by train_rl (rl-backtrack, two epochs) on toy_grammar_corpus(6,
+    seed=21) before the embedding tables moved into one buffer and load
+    stopped drawing random weights.  Reading it must not depend on either."""
+
+    PATH = Path(__file__).parent / "data" / "golden_v1.model"
+    SHA256 = "e79a74d3cd69d809596408b2d0ac6bded2b5248ab7169f9bceee3406a92d6ecf"
+    # Per toy_grammar_corpus(2, seed=22) sentence: predicted tags, heads and BACKs.
+    DECODES = [
+        (["ADJ", "ADJ", "NOUN", "NOUN", "NOUN", "ADJ"], [2, 3, 4, 5, 6, 0], 5),
+        (["NOUN", "ADJ", "NOUN", "NOUN", "NOUN", "ADJ"], [2, 3, 4, 5, 6, 0], 5),
+    ]
+
+    def test_file_is_unchanged(self):
+        assert hashlib.sha256(self.PATH.read_bytes()).hexdigest() == self.SHA256
+
+    def test_load_then_save_rewrites_the_same_bytes(self, tmp_path):
+        Model.load(self.PATH).save(tmp_path / "m")
+        assert (tmp_path / "m").read_bytes() == self.PATH.read_bytes()
+
+    def test_decodes_match_recorded_tags_and_heads(self):
+        model = Model.load(self.PATH)
+        assert model.machine.kind == "tagparser" and model.machine.k == 1
+        for s, (tags, heads, backs) in zip(toy_grammar_corpus(2, seed=22), self.DECODES):
+            res = decode(model, s)
+            assert [t.upos for t in res.predicted.tokens] == tags
+            assert [t.head for t in res.predicted.tokens] == heads
+            assert sum(e.action == BACK for e in res.log) == backs
 
 
 class TestWordVectors:
