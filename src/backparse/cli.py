@@ -153,11 +153,17 @@ def cmd_train(args) -> int:
     if args.from_manifest:
         with open(args.from_manifest, encoding="utf-8") as f:
             manifest = json.load(f)
+        if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+                and isinstance(manifest.get("inputs"), dict)):
+            raise UsageError(f"{args.from_manifest} is not a train manifest")
         cfg_values.update(manifest["config"])
         cfg_values.update({k: v for k, v in manifest["inputs"].items() if v})
     if args.config:
         with open(args.config, encoding="utf-8") as f:
-            cfg_values.update(json.load(f))
+            values = json.load(f)
+        if not isinstance(values, dict):
+            raise UsageError(f"config {args.config} is not a JSON object")
+        cfg_values.update(values)
     for key in ("machine", "regime", "k", "epochs", "seed", "alpha", "gamma",
                 "hidden", "batch_size", "corpus", "dev"):
         flag = getattr(args, key, None)
@@ -172,6 +178,8 @@ def cmd_train(args) -> int:
     dev_path = cfg_values.pop("dev", None)
     if not corpus_path:
         raise UsageError("no training corpus given (use --corpus or the config file)")
+    if not all(isinstance(p, str) for p in (corpus_path, dev_path or "")):
+        raise UsageError("corpus and dev must be file paths")
     kind = cfg_values.pop("machine", TAGGER)
     regime = cfg_values.pop("regime", REGIME_SUP)
     if regime not in REGIMES:
@@ -183,20 +191,26 @@ def cmd_train(args) -> int:
         raise UsageError(f"--k {k} conflicts with --regime {regime}; undo needs rl-backtrack")
     if regime == REGIME_RL_BACKTRACK and k == 0:
         raise UsageError("--regime rl-backtrack needs --k >= 1")
-    epochs = cfg_values.get("epochs")
-    if epochs is not None and epochs < 1:
-        raise UsageError("--epochs must be >= 1")
 
     schedule_values = cfg_values.pop("schedule", None)
     known = {f for f in TrainConfig.__dataclass_fields__}
     unknown = set(cfg_values) - known
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    cfg = TrainConfig(**cfg_values)
-    if schedule_values:
-        cfg = replace(cfg, schedule=ExplorationSchedule(**schedule_values))
-    if regime == REGIME_RL_BACKTRACK and k is not None:
-        cfg = replace(cfg, k=k)
+    if schedule_values is not None and not (
+        isinstance(schedule_values, dict)
+        and set(schedule_values) <= set(ExplorationSchedule.__dataclass_fields__)
+    ):
+        raise UsageError(f"schedule must be an object with keys from "
+                         f"{sorted(ExplorationSchedule.__dataclass_fields__)}")
+    try:
+        cfg = TrainConfig(**cfg_values)
+        if schedule_values:
+            cfg = replace(cfg, schedule=ExplorationSchedule(**schedule_values))
+        if regime == REGIME_RL_BACKTRACK and k is not None:
+            cfg = replace(cfg, k=k)
+    except ValueError as e:
+        raise UsageError(f"bad training config: {e}") from None
 
     train = _read_corpus(corpus_path)
     if not train:

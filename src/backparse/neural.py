@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import mmap
 import os
 from dataclasses import dataclass, field, replace
 
@@ -433,6 +434,16 @@ class QNetwork:
             self._runs.append((sp, start, end))
             start = end
 
+        # The precomputed first layer (see precompute): one row per (slot,
+        # row of the slot's table), slot after slot from _table_base.  It is
+        # built only when it has no more rows than w1, so it never holds
+        # more than w1 does, whatever the hidden size.
+        sizes = [len(self.emb[sp]) for sp, _ in self.layout]
+        self._table_base = np.cumsum([0] + sizes[:-1])
+        self._table_rows = sum(sizes)
+        self.table_fits = self._table_rows <= self.input_dim
+        self.table = None
+
     # -- parameter access ------------------------------------------------
 
     def param_names(self):
@@ -452,12 +463,54 @@ class QNetwork:
         _, h, wb = name.split(":")
         return self.heads[h][0 if wb == "w" else 1]
 
-    def copy_params(self):
-        return {n: self.get_param(n).copy() for n in self.param_names()}
+    def copy_params(self, into=None):
+        """A copy of every parameter.  Given `into`, a dict an earlier call
+        returned, the parameters are copied into its arrays and no new
+        ones are made."""
+        if into is None:
+            return {n: self.get_param(n).copy() for n in self.param_names()}
+        for n in self.param_names():
+            np.copyto(into[n], self.get_param(n))
+        return into
 
     def set_params(self, params):
+        self.table = None
         for n in self.param_names():
             np.copyto(self.get_param(n), params[n])
+
+    # -- precomputed first layer ---------------------------------------------
+
+    def precompute(self) -> None:
+        """Build the precomputed first layer unless it exists or would have
+        more rows than w1 (Chen & Manning 2014).  Slot i's block of x @ w1
+        is emb[sp][ids[i]] @ w1[lo:hi], so the table holds that product for
+        every row of the slot's table, and with dropout off the hidden
+        pre-activation is b1 plus the sum of one table row per slot.  The
+        weight updates (apply_grads, set_params) drop the table, so one
+        that exists always matches the weights; code that writes the
+        embeddings or w1 in place otherwise must set `table` to None."""
+        if self.table is not None or not self.table_fits:
+            return
+        # An anonymous mapping rather than a malloc'd array: when glibc frees
+        # a mapped chunk of this size it raises its mmap threshold to it, and
+        # later arrays below that size then come from a heap it does not
+        # shrink (8.6 MB more peak memory in the paper-scale benchmark).
+        shape = (self._table_rows, self.hidden)
+        size = shape[0] * shape[1] * np.dtype(self.dtype).itemsize
+        table = np.frombuffer(mmap.mmap(-1, size), dtype=self.dtype).reshape(shape)
+        for (sp, lo, hi), base in zip(self._offsets, self._table_base):
+            emb = self.emb[sp]
+            np.matmul(emb, self.w1[lo:hi], out=table[base : base + len(emb)])
+        self.table = table
+
+    def q_from_table(self, ids: np.ndarray, head: str) -> np.ndarray:
+        """Q-values of one head with dropout off, read through the table;
+        they equal forward's up to float rounding (the sum is taken in
+        another order)."""
+        h = self.table.take(self._table_base + ids, axis=0).sum(axis=0)
+        h += self.b1
+        w, b = self.heads[head]
+        return np.maximum(h, 0) @ w + b
 
     # -- forward / backward ----------------------------------------------
 
@@ -507,6 +560,7 @@ class QNetwork:
         return grads
 
     def apply_grads(self, grads, alpha: float, scale: float = 1.0) -> None:
+        self.table = None
         step = alpha * scale
         for name, g in grads.items():
             if name == "emb":
@@ -649,10 +703,12 @@ class Model:
         return replace(self, machine=replace(self.machine, k=k))
 
     def q_legal(self, c: Configuration, s: Sentence):
-        """Legal actions with their Q-values, dropout off."""
+        """Legal actions with their Q-values, dropout off; read through the
+        network's precomputed first layer when it has one."""
         head = head_for_state(c.state)
         ids = self.extractor.extract(c, s, self.machine)
-        q, _ = self.net.forward(ids, head)
+        net = self.net
+        q = net.forward(ids, head)[0] if net.table is None else net.q_from_table(ids, head)
         legal = self.machine.legal_actions(c)
         columns = self._columns[head]
         return legal, q[[columns[a] for a in legal]]

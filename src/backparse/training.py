@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,14 @@ REGIME_RL_BACKTRACK = "rl-backtrack"
 REGIMES = (REGIME_SUP, REGIME_RL, REGIME_RL_BACKTRACK)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class ExplorationSchedule:
     """Per-epoch probabilities of acting at random (epsilon) or following
@@ -51,6 +60,11 @@ class ExplorationSchedule:
     eps_decay: float = 0.25
     beta_scale: float = 0.3
     beta_decay: float = 0.5
+
+    def __post_init__(self):
+        for name, value in self.__dict__.items():
+            if not _is_finite(value):
+                raise ValueError(f"schedule {name} must be a finite number, got {value!r}")
 
     def epsilon(self, epoch: int) -> float:
         e = self.eps_floor + self.eps_scale * math.exp(-self.eps_decay * (epoch - 1))
@@ -86,6 +100,23 @@ class TrainConfig:
     schedule: ExplorationSchedule = field(default_factory=ExplorationSchedule)
 
     def __post_init__(self):
+        for name in ("seed", "batch_size", "k", "hidden", "word_dim", "feat_dim"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.epochs is not None and not _is_int(self.epochs):
+            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
+        for name in ("hidden", "word_dim", "feat_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("alpha", "gamma", "dropout"):
+            if not _is_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.stop_score is not None and not _is_finite(self.stop_score):
+            raise ValueError(f"stop_score must be a finite number, got {self.stop_score!r}")
+        if self.word_vectors is not None and not isinstance(self.word_vectors, str):
+            raise ValueError(f"word_vectors must be a path, got {self.word_vectors!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.alpha <= 0:
@@ -180,7 +211,10 @@ def _advance_forced(machine, c, s, with_rewards: bool) -> Configuration:
 
 def decode(model: Model, sentence: Sentence, k: int | None = None) -> DecodeResult:
     """Pure greedy decoding; dropout off, no exploration.  A given `k`
-    overrides the model's undo budget for this call."""
+    overrides the model's undo budget for this call.  Builds the network's
+    precomputed first layer if it fits and is absent; it is kept for later
+    calls until the weights change."""
+    model.net.precompute()
     if k is not None:
         model = model.with_k(k)
     machine = model.machine
@@ -234,6 +268,9 @@ def _dev_metrics(model, dev):
     if not dev:
         return None, 0
     results = [decode(model, s) for s in dev]
+    # The training loop's own decisions (the greedy pick and the TD target)
+    # read forward, as its updates do.
+    model.net.table = None
     metrics = score([r.predicted for r in results], dev)
     backs = sum(1 for r in results for e in r.log if e.action.kind == "back")
     return metrics, backs
@@ -292,7 +329,7 @@ def train_supervised(train, dev, kind: str, cfg: TrainConfig):
         metrics, backs = _dev_metrics(model, dev)
         sel = _selection_score(kind, metrics)
         if sel is not None and (best_score is None or sel > best_score):
-            best, best_score = model.net.copy_params(), sel
+            best, best_score = model.net.copy_params(best), sel
         history.append(_metrics_row(epoch, losses, metrics, backs, 0))
         if cfg.stop_score is not None and sel is not None and sel[0] >= cfg.stop_score:
             break
@@ -317,6 +354,7 @@ def _dynamic_pairs(model, train):
     """Decode the training set with the current model; the dynamic oracle
     labels every configuration the classifier faced."""
     machine = model.machine
+    model.net.precompute()
     pairs = []
     for s in train:
         bound = max_actions(s.n, machine.k, machine.kind)
@@ -384,7 +422,7 @@ def train_rl(train, dev, kind: str, cfg: TrainConfig, regime: str):
         metrics, backs = _dev_metrics(model, dev)
         sel = _selection_score(kind, metrics)
         if sel is not None and (best_score is None or sel > best_score):
-            best, best_score = model.net.copy_params(), sel
+            best, best_score = model.net.copy_params(best), sel
         history.append(_metrics_row(epoch, losses, metrics, backs, aborted, eps, beta))
         if cfg.stop_score is not None and sel is not None and sel[0] >= cfg.stop_score:
             break

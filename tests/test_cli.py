@@ -89,11 +89,41 @@ class TestTrain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("config", [
+        [{"alpha": 0.02}],
+        {"alpha": "x"},
+        {"gamma": "0.5"},
+        {"schedule": 3},
+        {"schedule": {"eps_floor": "0.1"}},
+        {"hidden": 0},
+        {"dropout": 1.0},
+    ])
+    def test_malformed_config_is_one_usage_error_line(self, tmp_path, corpus_file, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = run(
+            "train", "--corpus", corpus_file, "--config", cfg, "--epochs", "1",
+            "--out", tmp_path / "m.bpm",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not (tmp_path / "m.bpm").exists()
+
     def test_rerun_from_manifest_is_bit_identical(self, tmp_path, corpus_file):
         a, b = tmp_path / "a.bpm", tmp_path / "b.bpm"
         assert run(*train_args(corpus_file, a)) == 0
         assert run("train", "--from-manifest", f"{a}.manifest.json", "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("manifest", [[], {"config": {}}, {"config": [], "inputs": {}}])
+    def test_malformed_manifest_is_one_usage_error_line(self, tmp_path, capsys, manifest):
+        path = tmp_path / "run.manifest.json"
+        path.write_text(json.dumps(manifest))
+        code = run("train", "--from-manifest", path, "--out", tmp_path / "m.bpm")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_rl_backtrack_model_honours_k(self, tmp_path):
         corpus = tmp_path / "amb.conllu"

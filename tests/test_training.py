@@ -1,17 +1,31 @@
 import hashlib
 import random
+import tracemalloc
 from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from backparse import training
 from backparse.machine import BACK, BACK_STATE, Machine, NOBACK, max_actions
-from backparse.neural import BACK_ACTIONS, HEAD_BACK, Model, load_word_vectors
+from backparse.neural import (
+    BACK_ACTIONS,
+    HEAD_BACK,
+    Model,
+    QNetwork,
+    head_for_state,
+    heads_for_kind,
+    load_word_vectors,
+    slot_layout,
+    supervised_update,
+    td_update,
+)
 from backparse.oracle import oracle_action
 from backparse.training import (
     REGIME_RL,
     REGIME_RL_BACKTRACK,
+    REGIME_SUP,
     ExplorationSchedule,
     build_model,
     decode,
@@ -24,7 +38,10 @@ from backparse.training import (
 from helpers import (
     alternation_corpus,
     lookahead_corpus,
+    random_legal_walk,
+    random_projective_heads,
     random_tagged_sentence,
+    sent,
     simple_sent,
     small_config,
     toy_grammar_corpus,
@@ -327,3 +344,171 @@ class TestWordVectors:
         cfg = small_config(word_dim=16, word_vectors=str(vec_file))
         with pytest.raises(ValueError, match="dim"):
             build_model("tagger", corpus, cfg, k=0)
+
+
+def table_model(kind, k=1):
+    """A toy-vocabulary model whose dims let the precomputed table fit,
+    with a BACK bias that makes BACK fire."""
+    corpus = toy_grammar_corpus(8, seed=9)
+    model = build_model(kind, corpus, small_config(hidden=64, word_dim=64, feat_dim=32), k=k)
+    model.net.heads[HEAD_BACK][1][BACK_ACTIONS.index(BACK)] = 0.5
+    assert model.net.table_fits
+    return model, corpus
+
+
+def decisions(model, result):
+    """The configurations on a decode path that offered a choice."""
+    machine = result.machine
+    c = machine.initial(result.sentence)
+    for entry in result.log:
+        if len(machine.legal_actions(c)) > 1:
+            yield c
+        c = machine.apply(c, entry.action)
+
+
+class TestPrecomputedTable:
+    @pytest.mark.parametrize("kind", ["tagger", "parser", "tagparser"])
+    def test_q_through_the_table_is_forward(self, kind, monkeypatch):
+        model, corpus = table_model(kind, k=2)
+        net = model.net
+        net.precompute()
+        assert net.table is not None
+        forward = net.forward
+        monkeypatch.setattr(net, "forward", None)  # q_legal must not call it
+        rng = random.Random(3)
+        checked = 0
+        for s in corpus:
+            for c in random_legal_walk(model.machine, s, rng, steps=60, back_bias=0.3):
+                if c.terminal:
+                    continue
+                head = head_for_state(c.state)
+                q, _ = forward(model.extractor.extract(c, s, model.machine), head)
+                legal, values = model.q_legal(c, s)
+                want = [q[model.action_index(head, a)] for a in legal]
+                np.testing.assert_allclose(values, want, rtol=0, atol=1e-5)
+                checked += 1
+        assert checked > 50
+
+    @pytest.mark.parametrize("kind", ["tagger", "parser", "tagparser"])
+    def test_decode_equals_the_direct_path(self, kind, monkeypatch):
+        model, corpus = table_model(kind)
+        through_table = [decode(model, s, k=k) for k in (0, 1, 2) for s in corpus]
+        assert model.net.table is not None
+        model.net.table = None
+        monkeypatch.setattr(model.net, "table_fits", False)
+        direct = [decode(model, s, k=k) for k in (0, 1, 2) for s in corpus]
+        assert model.net.table is None
+        assert through_table == direct
+        assert sum(e.action == BACK for r in direct for e in r.log) > 0
+
+    def test_no_table_outlives_the_weights_it_was_built_from(self, tmp_path):
+        model, corpus = table_model("tagparser")
+        other, _ = table_model("tagparser")
+        net = model.net
+        ids = model.extractor.extract(model.machine.initial(corpus[0]), corpus[0], model.machine)
+
+        def decodes_like_a_fresh_load():
+            results = [decode(model, s) for s in corpus]
+            model.save(tmp_path / "m")
+            fresh = Model.load(tmp_path / "m")
+            assert results == [decode(fresh, s) for s in corpus]
+            # Both read Q through tables; the same weights give the same bits.
+            for r in results:
+                for c in decisions(model, r):
+                    assert np.array_equal(model.q_legal(c, r.sentence)[1],
+                                          fresh.q_legal(c, r.sentence)[1])
+            assert net.table is not None
+            return net.table
+
+        tables = [decodes_like_a_fresh_load()]
+        td_update(net, ids, "tag", 1, 5.0, alpha=0.5)
+        tables.append(decodes_like_a_fresh_load())
+        supervised_update(net, ids, "tag", 2, alpha=0.5)
+        tables.append(decodes_like_a_fresh_load())
+        net.set_params(other.net.copy_params())
+        tables.append(decodes_like_a_fresh_load())
+        assert all(a is not b for a, b in zip(tables, tables[1:]))
+
+    def test_desk_size_models_never_build_a_table(self):
+        rng = random.Random(4)
+        words = [f"word{i}" for i in range(100)]
+        corpus = [sent([rng.choice(words) for _ in heads], ["A"] * len(heads), heads)
+                  for heads in (random_projective_heads(n, rng) for n in (3, 5, 7, 9) * 3)]
+        for kind in ("tagger", "parser", "tagparser"):
+            model = build_model(kind, corpus, small_config(hidden=64, word_dim=32, feat_dim=16), k=1)
+            assert not model.net.table_fits
+            for s in corpus:
+                decode(model, s)
+            assert model.net.table is None
+
+    @pytest.mark.parametrize("regime", [REGIME_SUP, REGIME_RL_BACKTRACK])
+    def test_trained_models_keep_no_table(self, regime):
+        corpus = toy_grammar_corpus(6, seed=9)
+        cfg = small_config(epochs=3, hidden=64, word_dim=64, feat_dim=32)
+        if regime == REGIME_SUP:
+            model, _ = train_supervised(corpus, corpus[:2], "tagparser", cfg)
+        else:
+            model, _ = train_rl(corpus, corpus[:2], "tagparser", cfg, regime)
+        assert model.net.table_fits and model.net.table is None
+
+    def test_rl_training_reads_forward_between_dev_decodes(self, tmp_path, monkeypatch):
+        # The dev decodes build a table; the TD targets and greedy picks of
+        # the next epoch must still read forward, as a run with no table does.
+        corpus = toy_grammar_corpus(6, seed=9)
+        cfg = small_config(epochs=3, hidden=64, word_dim=64, feat_dim=32, dropout=0.0)
+        runs = []
+        for build in (True, False):
+            if not build:
+                monkeypatch.setattr(QNetwork, "precompute", lambda net: None)
+            model, history = train_rl(corpus, corpus[:2], "tagparser", cfg, REGIME_RL_BACKTRACK)
+            model.save(tmp_path / "m")
+            runs.append(((tmp_path / "m").read_bytes(), history))
+        assert runs[0] == runs[1]
+
+
+class TestBestCheckpoint:
+    @pytest.mark.parametrize("regime", [REGIME_SUP, REGIME_RL])
+    def test_later_improvements_copy_into_the_first_checkpoint(self, regime, monkeypatch):
+        # Every epoch improves on the last, so each one takes a checkpoint.
+        scores = iter(range(100))
+        monkeypatch.setattr(training, "_selection_score", lambda kind, metrics: (next(scores),))
+        checkpoints = []
+        copy_params = QNetwork.copy_params
+
+        def spy(net, into=None):
+            checkpoints.append(copy_params(net, into))
+            return checkpoints[-1]
+
+        monkeypatch.setattr(QNetwork, "copy_params", spy)
+        corpus = toy_grammar_corpus(4, seed=9)
+        cfg = small_config(epochs=3, hidden=16)
+        if regime == REGIME_SUP:
+            model, _ = train_supervised(corpus, corpus[:2], "tagger", cfg)
+        else:
+            model, _ = train_rl(corpus, corpus[:2], "tagger", cfg, regime)
+        first, *later = checkpoints
+        assert len(later) == 2
+        for ckpt in later:
+            assert all(ckpt[name] is first[name] for name in first)
+        for name in first:  # the last improvement is what the model keeps
+            assert np.array_equal(model.net.get_param(name), first[name])
+
+    def test_copy_into_a_checkpoint_allocates_no_parameters(self):
+        dims = {"word": 32, "pos": 16, "letter": 16, "action": 16, "flag": 16}
+        net = QNetwork(
+            layout=slot_layout("tagparser"),
+            vocab_sizes={"word": 12, "pos": 10, "letter": 9, "action": 11, "flag": 9},
+            space_dims=dims,
+            hidden=2048,
+            heads=heads_for_kind("tagparser", 3),
+        )
+        best = net.copy_params()
+        net.w1 += 1.0
+        tracemalloc.start()
+        try:
+            again = net.copy_params(best)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again is best and np.array_equal(best["w1"], net.w1)
+        assert peak < net.w1.nbytes / 10, (peak, net.w1.nbytes)
