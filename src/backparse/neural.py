@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import mmap
+import numbers
 import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -301,9 +304,17 @@ def q_target(reward: float, next_qs, gamma: float) -> float:
 # ----------------------------------------------------------------------
 # network
 
-# Elements of w1 that the weight update rewrites per block: 1 MB of float32,
-# or 81 rows of a paper-size w1 (hidden 3200).
-BLOCK_ELEMS = 1 << 18
+# Elements of w1 in one block of the weight update: 512 KB of float32, so
+# that a block and the buffer its update is made in fit together in a 2 MB
+# L2 cache; 32 rows of a paper-size w1 (hidden 3200).
+BLOCK_ELEMS = 1 << 17
+# The row count of a block is a multiple of this, unless one block holds
+# all of w1.  BLAS gemv kernels take the rows of a matrix in groups, and a
+# block that starts inside a group rounds some of its rows' dot products
+# otherwise than one gemv over all of w1 does (81-row blocks did).  With
+# more than one BLAS thread, the whole gemv is split at rows that depend
+# on the thread count, and its bits with them.
+ROW_GROUP = 16
 
 
 class OuterGrad:
@@ -325,19 +336,28 @@ class OuterGrad:
 class EmbGrad:
     """The gradient of the embedding tables kept as its factors: example b
     adds dx[b, lo:hi] to row ids[b, slot] of the slot's table, for every
-    slot, with ids of shape (B, slots) and dx of shape (B, input).
-    Iterating yields those (space, row, vector) triples in example order,
-    then slot order; apply_grads never makes them."""
+    slot, where dx[b] = (w1 @ dh[b]) * mask[b], with ids of shape
+    (B, slots), dh of shape (B, hidden) and the input dropout mask of shape
+    (B, input), or None without dropout.  apply_grads computes dx block by
+    block while it updates w1, each block's rows from the block before its
+    update.  Iterating yields the (space, row, vector) triples in example
+    order, then slot order, with dx from w1 as it is at the time: before
+    apply_grads, this gradient's triples."""
 
-    __slots__ = ("ids", "dx", "offsets")
+    __slots__ = ("ids", "dh", "mask", "offsets", "w1")
 
-    def __init__(self, ids: np.ndarray, dx: np.ndarray, offsets):
+    def __init__(self, ids: np.ndarray, dh: np.ndarray, mask, offsets, w1: np.ndarray):
         self.ids = ids
-        self.dx = dx
+        self.dh = dh
+        self.mask = mask
         self.offsets = offsets
+        self.w1 = w1
 
     def __iter__(self):
-        for ids, dx in zip(self.ids, self.dx):
+        for b, ids in enumerate(self.ids):
+            dx = self.w1 @ self.dh[b]
+            if self.mask is not None:
+                dx = dx * self.mask[b]
             for i, (sp, lo, hi) in enumerate(self.offsets):
                 yield sp, int(ids[i]), dx[lo:hi]
 
@@ -407,10 +427,10 @@ class QNetwork:
         }
 
         # apply_grads updates w1 through this buffer, one block of whole
-        # rows of about BLOCK_ELEMS elements: at desk scale it holds all of
-        # w1 and the update is one block.
-        rows = max(1, min(self.input_dim, BLOCK_ELEMS // hidden))
-        self._block = np.empty((rows, hidden), dtype=dtype)
+        # rows of at most about BLOCK_ELEMS elements: at desk scale it holds
+        # all of w1 and the update is one block.
+        rows = max(ROW_GROUP, BLOCK_ELEMS // hidden // ROW_GROUP * ROW_GROUP)
+        self._block = np.empty((min(rows, self.input_dim), hidden), dtype=dtype)
 
         self._offsets = []
         off = 0
@@ -553,24 +573,23 @@ class QNetwork:
             dh = dh * mask_h
         grads["w1"] = OuterGrad(x[:, None], dh[None, :])
         grads["b1"] = dh
-        dx = (self.w1 @ dh).astype(self.dtype)
-        if mask_in is not None:
-            dx = dx * mask_in
-        grads["emb"] = EmbGrad(ids[None, :], dx[None, :], self._offsets)
+        mask = None if mask_in is None else mask_in[None, :]
+        grads["emb"] = EmbGrad(ids[None, :], dh[None, :], mask, self._offsets, self.w1)
         return grads
 
     def apply_grads(self, grads, alpha: float, scale: float = 1.0) -> None:
         self.table = None
         step = alpha * scale
         for name, g in grads.items():
-            if name == "emb":
-                self._apply_emb(g, step)
-            elif name == "w1":
-                self._apply_outer(g, step)
-            else:
+            if name not in ("w1", "emb"):
                 self.get_param(name)[...] -= step * g
+        emb = grads["emb"]
+        dx = self._apply_outer(grads["w1"], emb.dh, step)
+        if emb.mask is not None:
+            dx *= emb.mask
+        self._apply_emb(emb.ids, dx, step)
 
-    def _apply_emb(self, g: EmbGrad, step: float) -> None:
+    def _apply_emb(self, ids: np.ndarray, dx: np.ndarray, step: float) -> None:
         """Subtract step * dx from the rows the ids name, with one
         scatter-subtract on the flat buffer.  ufunc.at is unbuffered and
         applies repeated indices in index order, so a row that several slots
@@ -579,24 +598,34 @@ class QNetwork:
         a fancy-index `-=` would keep only one of them.  (Raveled, the
         index takes ufunc.at's 1-D fast path: 1.4 against 4.9 us at desk
         scale.)"""
-        index = self._x_base + g.ids[:, self._x_slot] * self._x_width
-        np.subtract.at(self._emb_flat, index.ravel(), (step * g.dx).ravel())
+        index = self._x_base + ids[:, self._x_slot] * self._x_width
+        np.subtract.at(self._emb_flat, index.ravel(), (step * dx).ravel())
 
-    def _apply_outer(self, g: OuterGrad, step: float) -> None:
+    def _apply_outer(self, g: OuterGrad, dh: np.ndarray, step: float) -> np.ndarray:
         """w1 -= step * (g.u @ g.v), in place, one block of rows at a time
         through the reused block buffer, so no input x hidden array is
-        made.  With one example the block is the outer product, computed as
-        np.outer computes it, so each element is rounded as in
-        `w1 -= step * np.outer(x, dh)`; matmul gives the same bits there but
-        is about five times slower.  More examples make one GEMM per block."""
+        made; returns dx with dx[b] = w1 @ dh[b] as w1 was before the
+        update.  Each block's rows of dx are computed just before the
+        block's update, while the block is in cache, so each step reads w1
+        from memory once; with one BLAS thread they equal one gemv over all
+        of w1 bit for bit, because a block's row count is a multiple of
+        ROW_GROUP.  With one example the update's block is the outer
+        product, computed as np.outer computes it, so each element is
+        rounded as in `w1 -= step * np.outer(x, dh)`; matmul gives the same
+        bits there but is about five times slower.  More examples make one
+        GEMM per block."""
         w1, buf = self.w1, self._block
         rows = len(buf)
+        dx = np.empty((len(dh), len(w1)), dtype=w1.dtype)
         product = np.multiply if g.u.shape[1] == 1 else np.matmul
         for a in range(0, len(w1), rows):
-            u = g.u[a : a + rows]
-            t = product(u, g.v, out=buf[: len(u)])
+            block = w1[a : a + rows]
+            for d, out in zip(dh, dx):
+                np.matmul(block, d, out=out[a : a + rows])
+            t = product(g.u[a : a + rows], g.v, out=buf[: len(block)])
             t *= step
-            w1[a : a + rows] -= t
+            block -= t
+        return dx
 
 
 def td_update(net, ids, head, action_index, target, alpha, drop_rng=None) -> float:
@@ -633,7 +662,8 @@ def supervised_update(net, ids, head, gold_index, alpha, drop_rng=None) -> float
 def sum_grads(grads_list) -> dict:
     """The sum of several examples' gradients, in the form backward
     returns: dense arrays added in order, the factors of w1 and of the
-    embedding tables joined example after example."""
+    embedding tables joined example after example.  The examples were
+    taken all with dropout or all without."""
     total = {}
     w1, emb = [], []
     for grads in grads_list:
@@ -648,8 +678,9 @@ def sum_grads(grads_list) -> dict:
                 total[name] = g.copy()
     total["w1"] = OuterGrad(np.concatenate([g.u for g in w1], axis=1),
                             np.concatenate([g.v for g in w1], axis=0))
+    mask = None if emb[0].mask is None else np.concatenate([g.mask for g in emb])
     total["emb"] = EmbGrad(np.concatenate([g.ids for g in emb]),
-                           np.concatenate([g.dx for g in emb]), emb[0].offsets)
+                           np.concatenate([g.dh for g in emb]), mask, emb[0].offsets, emb[0].w1)
     return total
 
 
@@ -770,16 +801,19 @@ class Model:
                 heads=meta["heads"],
                 dropout=meta["dropout"],
             )
-            # One tensor's bytes at a time: reading the whole payload at once
-            # would hold it, and briefly twice, beside the network.
-            for name, shape in meta["tensors"]:
-                size = int(np.prod(shape)) * 4
-                arr = np.frombuffer(f.read(size), dtype="<f4").reshape(shape)
+            # Each tensor is read straight into the network's array: no
+            # staging copy of its bytes (w1 is 73 MB at paper scale).
+            for name, _ in meta["tensors"]:
+                arr = net.get_param(name)
+                got = f.readinto(arr)
+                if got != arr.nbytes:
+                    raise ValueError(f"tensor {name} ends after {got} of its {arr.nbytes} bytes")
+                if sys.byteorder != "little":
+                    arr.byteswap(inplace=True)  # the file holds little-endian float32
                 # min and max carry any NaN and show any infinity, with no
-                # temporary the size of the tensor (w1 is 73 MB at paper scale).
+                # temporary the size of the tensor.
                 if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                     raise ValueError(f"tensor {name} holds non-finite values")
-                np.copyto(net.get_param(name), arr)
         return cls(machine=machine, extractor=extractor, net=net, gamma=meta["gamma"])
 
 
@@ -787,8 +821,16 @@ HEADER_KEYS = ("format", "machine", "k", "gamma", "tags", "dims", "hidden", "dro
                "heads", "layout", "vocabs", "tensors")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _is_count(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+    return _is_int(x) and x > 0
 
 
 def _check_header(meta, payload_bytes: int) -> None:
@@ -807,7 +849,7 @@ def _check_header(meta, payload_bytes: int) -> None:
         raise ValueError(f"unknown machine kind {kind!r}")
     if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
         raise ValueError("tags must be a list of strings")
-    if not (k == 0 or _is_count(k)):
+    if not (_is_int(k) and k >= 0):
         raise ValueError(f"undo budget k must be an integer >= 0, got {k!r}")
     dims, vocabs, hidden = meta["dims"], meta["vocabs"], meta["hidden"]
     if not (isinstance(dims, dict) and isinstance(vocabs, dict) and all(
@@ -816,9 +858,12 @@ def _check_header(meta, payload_bytes: int) -> None:
         raise ValueError(f"dims and vocabs need a positive size and a list for each of {SPACES}")
     if not _is_count(hidden):
         raise ValueError(f"hidden must be a positive integer, got {hidden!r}")
-    if not all(isinstance(meta[key], (int, float)) and np.isfinite(meta[key])
-               for key in ("gamma", "dropout")):
-        raise ValueError("gamma and dropout must be finite numbers")
+    # The ranges TrainConfig admits.
+    gamma, dropout = meta["gamma"], meta["dropout"]
+    if not (_is_finite(gamma) and 0.0 <= gamma <= 1.0):
+        raise ValueError(f"gamma must be a number in [0, 1], got {gamma!r}")
+    if not (_is_finite(dropout) and 0.0 <= dropout < 1.0):
+        raise ValueError(f"dropout must be a number in [0, 1), got {dropout!r}")
     layout = slot_layout(kind)
     if meta["layout"] != [list(slot) for slot in layout]:
         raise ValueError(f"layout does not list the {len(layout)} feature slots of a {kind}")

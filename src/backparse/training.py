@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,8 @@ from .neural import (
     FeatureExtractor,
     Model,
     QNetwork,
+    _is_finite,
+    _is_int,
     build_vocabs,
     load_word_vectors,
     head_for_state,
@@ -40,14 +41,6 @@ REGIME_SUP = "sup"
 REGIME_RL = "rl"
 REGIME_RL_BACKTRACK = "rl-backtrack"
 REGIMES = (REGIME_SUP, REGIME_RL, REGIME_RL_BACKTRACK)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_finite(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -166,13 +159,14 @@ def build_model(kind: str, train_sentences, cfg: TrainConfig, k: int) -> Model:
     if cfg.word_vectors:
         vectors = load_word_vectors(cfg.word_vectors)
         table = net.emb["word"]
+        # Every row has the file's width; it must be word_dim whether or not
+        # any word is in the vocabulary.
+        dim = len(next(iter(vectors.values()))) if vectors else cfg.word_dim
+        if dim != cfg.word_dim:
+            raise ValueError(f"{cfg.word_vectors}: pretrained vectors have dim {dim}, expected {cfg.word_dim}")
         for word, vec in vectors.items():
             row = vocabs["word"].index.get(word)
             if row is not None:
-                if len(vec) != table.shape[1]:
-                    raise ValueError(
-                        f"pretrained vectors have dim {len(vec)}, expected {table.shape[1]}"
-                    )
                 table[row] = vec
     return Model(machine=machine, extractor=extractor, net=net, gamma=cfg.gamma)
 

@@ -239,3 +239,16 @@ def corrupt_model(path, case: str) -> None:
     else:
         blob = np.array([np.nan], dtype="<f4").tobytes() + blob[4:]
     path.write_bytes(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n" + blob)
+
+
+# Header numbers that TrainConfig would refuse, as (field, value) pairs.
+BAD_HEADER_NUMBERS = [("gamma", True), ("gamma", 2.0), ("dropout", 1.0), ("dropout", -3),
+                      ("k", False), ("k", 0.0)]
+
+
+def set_header_field(path, key: str, value) -> None:
+    """Rewrite one field of a saved model file's JSON header."""
+    header, blob = path.read_bytes().split(b"\n", 1)
+    meta = json.loads(header)
+    meta[key] = value
+    path.write_bytes(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n" + blob)

@@ -4,7 +4,13 @@ import pytest
 
 from backparse.cli import main
 from backparse.corpus import parse_conllu, serialize
-from helpers import alternation_corpus, corrupt_model, toy_grammar_corpus
+from helpers import (
+    BAD_HEADER_NUMBERS,
+    alternation_corpus,
+    corrupt_model,
+    set_header_field,
+    toy_grammar_corpus,
+)
 
 
 @pytest.fixture
@@ -197,6 +203,16 @@ class TestDecodeEvalStats:
         err = capsys.readouterr().err
         assert code == 1
         assert err.count("\n") == 1 and err.startswith(f"error: {trained}: ")
+
+    @pytest.mark.parametrize("key,value", BAD_HEADER_NUMBERS)
+    def test_header_number_out_of_range_is_one_error_line(self, tmp_path, corpus_file, trained,
+                                                          capsys, key, value):
+        set_header_field(trained, key, value)
+        code = run("decode", "--model", trained, "--input", corpus_file,
+                   "--output", tmp_path / "p.conllu")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {trained}: ") and key in err
 
     def test_decode_trace_k0_has_no_back_lines(self, tmp_path, corpus_file, trained):
         pred = tmp_path / "pred.conllu"

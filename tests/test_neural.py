@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import tracemalloc
 
@@ -34,10 +35,12 @@ from backparse.neural import (
 )
 from backparse.training import _supervised_step, build_model
 from helpers import (
+    BAD_HEADER_NUMBERS,
     corrupt_model,
     random_legal_walk,
     random_tagged_sentence,
     sent,
+    set_header_field,
     simple_sent,
     small_config,
 )
@@ -415,7 +418,7 @@ class TestUpdate:
         # Wide enough that the update of w1 runs in four row blocks, the
         # last one ragged.
         net = tiny_net("tagger", hidden=BLOCK_ELEMS // 40, dtype=np.float32)
-        rows = BLOCK_ELEMS // net.hidden
+        rows = len(net._block)
         assert net.input_dim > 3 * rows and net.input_dim % rows
         ids = random_ids(net, random.Random(1))
         q, cache = net.forward(ids, "tag", drop_rng=np.random.default_rng(2))
@@ -581,6 +584,46 @@ class TestEmbeddingUpdate:
             same(list(g["emb"]), want)
         same(list(sum_grads(grads)["emb"]), [t for want in expected for t in want])
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_blocked_dx_is_one_gemv_over_w1_before_the_update(self, batch):
+        # Several row blocks, the last one ragged, with input dropout: dx
+        # computed block by block inside the update must be, bit for bit,
+        # the whole w1 @ dh taken before any row of w1 changes.
+        net = tiny_net("tagparser", hidden=BLOCK_ELEMS // 40, dtype=np.float32)
+        rows = len(net._block)
+        assert rows % 16 == 0 and net.input_dim > 3 * rows and net.input_dim % rows
+        rng, drop = random.Random(12), np.random.default_rng(12)
+        grads, examples = [], []
+        for head, gold in (("tag", 1), ("parse", 3), ("back", 0))[:batch]:
+            ids = repeating_ids(net, rng)
+            q, cache = net.forward(ids, head, drop)
+            g = net.backward(cache, cross_entropy(q, gold)[1])
+            assert cache[5] is not None
+            grads.append(g)
+            examples.append((ids, (net.w1 @ g["b1"]) * cache[5]))
+        total = grads[0] if batch == 1 else sum_grads(grads)
+
+        step = 0.5 * (1.0 / batch)
+        expected = net.copy_params()
+        expected["w1"] -= step * np.asarray(total["w1"])
+        for name, g in total.items():
+            if name not in ("w1", "emb"):
+                expected[name] -= step * g
+        triples = []
+        for ids, dx in examples:
+            for i, (sp, _) in enumerate(net.layout):
+                lo, hi = net._offsets[i][1:]
+                triples.append((sp, int(ids[i]), dx[lo:hi]))
+                expected[f"emb:{sp}"][ids[i]] -= step * dx[lo:hi]
+        # Before the update, the gradient still iterates as these triples.
+        got = list(total["emb"])
+        assert [(sp, row) for sp, row, _ in got] == [(sp, row) for sp, row, _ in triples]
+        assert all(np.array_equal(v, w) for (_, _, v), (_, _, w) in zip(got, triples))
+
+        net.apply_grads(total, 0.5, scale=1.0 / batch)
+        for name in net.param_names():
+            assert np.array_equal(net.get_param(name), expected[name]), name
+
     def test_tables_stay_views_of_one_buffer(self, tmp_path):
         corpus = [random_tagged_sentence(5, random.Random(4)) for _ in range(5)]
         model = build_model("tagparser", corpus, small_config(), k=1)
@@ -656,6 +699,55 @@ class TestSerialization:
             tracemalloc.stop()
         assert np.array_equal(loaded.net.w1, model.net.w1)
         assert peak < 3 * model.net.w1.nbytes, (peak, model.net.w1.nbytes)
+
+    def test_load_reads_each_tensor_in_place(self, tmp_path):
+        # Each tensor is read into the network's own array; a staging copy
+        # of w1's bytes alone would take the peak past 1.5 x w1.
+        corpus = [random_tagged_sentence(5, random.Random(4)) for _ in range(5)]
+        model = build_model("tagparser", corpus, small_config(hidden=2048, word_dim=32, feat_dim=16), k=1)
+        assert model.net.input_dim == 688
+        path = tmp_path / "m.bpm"
+        model.save(path)
+        tracemalloc.start()
+        try:
+            loaded = Model.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for name in model.net.param_names():
+            assert np.array_equal(loaded.net.get_param(name), model.net.get_param(name)), name
+        assert peak < 1.5 * model.net.w1.nbytes, (peak, model.net.w1.nbytes)
+
+    def test_short_read_names_file_and_tensor(self, tmp_path, monkeypatch):
+        # A payload that ends early although the header check passed (the
+        # file shrank after it was sized): the read of the last tensor
+        # comes up short.
+        corpus = [random_tagged_sentence(4, random.Random(6)) for _ in range(4)]
+        model = build_model("tagparser", corpus, small_config(), k=1)
+        path = tmp_path / "m.bpm"
+        model.save(path)
+        path.write_bytes(path.read_bytes()[:-8])
+        real_fstat = os.fstat
+
+        def fstat(fd):
+            st = tuple(real_fstat(fd))
+            return os.stat_result(st[:6] + (st[6] + 8,) + st[7:])
+
+        monkeypatch.setattr(os, "fstat", fstat)
+        last = model.net.param_names()[-1]
+        with pytest.raises(ValueError, match=f"tensor {last} ends after") as info:
+            Model.load(path)
+        assert str(info.value).startswith(f"{path}: ") and "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("key,value", BAD_HEADER_NUMBERS)
+    def test_header_number_out_of_range_rejected(self, tmp_path, key, value):
+        corpus = [random_tagged_sentence(4, random.Random(6)) for _ in range(4)]
+        path = tmp_path / "m.bpm"
+        build_model("tagparser", corpus, small_config(), k=1).save(path)
+        set_header_field(path, key, value)
+        with pytest.raises(ValueError, match=f"{key} must be") as info:
+            Model.load(path)
+        assert str(info.value).startswith(f"{path}: ") and "\n" not in str(info.value)
 
     @pytest.mark.parametrize(
         "case,message",

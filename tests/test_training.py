@@ -345,6 +345,14 @@ class TestWordVectors:
         with pytest.raises(ValueError, match="dim"):
             build_model("tagger", corpus, cfg, k=0)
 
+    def test_width_checked_without_vocabulary_overlap(self, tmp_path):
+        corpus = alternation_corpus(5, seed=0)
+        vec_file = tmp_path / "vectors.txt"
+        vec_file.write_text("zzz-absent 0.1 0.2 0.3\n", encoding="utf-8")
+        cfg = small_config(word_dim=32, word_vectors=str(vec_file))
+        with pytest.raises(ValueError, match="vectors.txt: pretrained vectors have dim 3, expected 32"):
+            build_model("tagger", corpus, cfg, k=0)
+
 
 def table_model(kind, k=1):
     """A toy-vocabulary model whose dims let the precomputed table fit,
