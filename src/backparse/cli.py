@@ -191,6 +191,9 @@ def cmd_train(args) -> int:
         raise UsageError(f"--k {k} conflicts with --regime {regime}; undo needs rl-backtrack")
     if regime == REGIME_RL_BACKTRACK and k == 0:
         raise UsageError("--regime rl-backtrack needs --k >= 1")
+    batch_size = cfg_values.get("batch_size")
+    if regime != REGIME_SUP and batch_size not in (None, 1):
+        raise UsageError(f"--batch-size {batch_size} conflicts with --regime {regime}; batches are supervised-only")
 
     schedule_values = cfg_values.pop("schedule", None)
     known = {f for f in TrainConfig.__dataclass_fields__}

@@ -100,23 +100,36 @@ def build_vocabs(sentences, tags: tuple[str, ...]) -> dict[str, Vocab]:
 
 def load_word_vectors(path) -> dict[str, np.ndarray]:
     """Plain-text vectors, one `word v1 .. vD` line each, fields split on
-    any whitespace; a leading `count dim` header line is tolerated.  A row
-    that is not a word and D finite numbers raises ValueError at path:line."""
+    any whitespace; a leading `count dim` header line is tolerated if dim
+    is D.  A row that is not a word and D finite numbers raises ValueError
+    at path:line, a header with another dim at path:1, and a file with no
+    vector rows, or that is not UTF-8 text, at path."""
     vectors = {}
-    dim = None
+    dim = header_dim = None  # header_dim: the header's dim field, as written
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts or (lineno == 1 and len(parts) == 2 and all(p.isdigit() for p in parts)):
-                continue  # blank line or header
-            try:
-                vec = np.asarray(parts[1:], dtype=np.float32)
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-            dim = len(vec) if dim is None else dim
-            if len(vec) == 0 or len(vec) != dim or not np.isfinite(vec).all():
-                raise ValueError(f"{path}:{lineno}: expected a word and {dim or 'some'} finite numbers")
-            vectors[parts[0]] = vec
+        try:
+            for lineno, line in enumerate(f, start=1):
+                parts = line.split()
+                if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
+                    header_dim = parts[1]
+                    continue
+                if not parts:
+                    continue
+                try:
+                    with np.errstate(over="ignore"):  # too large for float32: inf, refused below
+                        vec = np.asarray(parts[1:], dtype=np.float32)
+                except ValueError as e:
+                    raise ValueError(f"{path}:{lineno}: {e}") from None
+                dim = len(vec) if dim is None else dim
+                if len(vec) == 0 or len(vec) != dim or not np.isfinite(vec).all():
+                    raise ValueError(f"{path}:{lineno}: expected a word and {dim or 'some'} finite numbers")
+                if header_dim is not None and float(header_dim) != dim:  # float: no digit limit
+                    raise ValueError(f"{path}:1: header declares dim {header_dim}, but rows hold {dim} numbers")
+                vectors[parts[0]] = vec
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
+    if not vectors:
+        raise ValueError(f"{path}: holds no word vectors")
     return vectors
 
 
@@ -317,49 +330,40 @@ BLOCK_ELEMS = 1 << 17
 ROW_GROUP = 16
 
 
-class OuterGrad:
-    """The gradient of w1 kept as its factors: the dense gradient is
-    u @ v, with u of shape (input, B) and v of shape (B, hidden), a sum of
-    B outer products.  np.asarray(g) builds the dense array; apply_grads
-    never does."""
+@dataclass
+class Grads:
+    """The gradient of the loss of B examples, every factor stored once:
+    ids (B, slots), the network inputs x (B, input), the hidden deltas dh
+    (B, hidden), the input dropout masks (B, input) or None without
+    dropout, and each head's dense (w, b) gradient, summed in example
+    order.  The w1 gradient is x.T @ dh and the b1 gradient the sum of dh's
+    rows.  Example b adds dx[b, lo:hi] to row ids[b, slot] of each slot's
+    table, where dx[b] = (w1 @ dh[b]) * mask[b]; apply_grads computes dx
+    block by block while it updates w1, each block's rows from the block
+    before its update."""
 
-    __slots__ = ("u", "v")
+    ids: np.ndarray
+    x: np.ndarray
+    dh: np.ndarray
+    mask: np.ndarray | None
+    heads: dict
 
-    def __init__(self, u: np.ndarray, v: np.ndarray):
-        self.u = u
-        self.v = v
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.u @ self.v, dtype=dtype)
-
-
-class EmbGrad:
-    """The gradient of the embedding tables kept as its factors: example b
-    adds dx[b, lo:hi] to row ids[b, slot] of the slot's table, for every
-    slot, where dx[b] = (w1 @ dh[b]) * mask[b], with ids of shape
-    (B, slots), dh of shape (B, hidden) and the input dropout mask of shape
-    (B, input), or None without dropout.  apply_grads computes dx block by
-    block while it updates w1, each block's rows from the block before its
-    update.  Iterating yields the (space, row, vector) triples in example
-    order, then slot order, with dx from w1 as it is at the time: before
-    apply_grads, this gradient's triples."""
-
-    __slots__ = ("ids", "dh", "mask", "offsets", "w1")
-
-    def __init__(self, ids: np.ndarray, dh: np.ndarray, mask, offsets, w1: np.ndarray):
-        self.ids = ids
-        self.dh = dh
-        self.mask = mask
-        self.offsets = offsets
-        self.w1 = w1
-
-    def __iter__(self):
-        for b, ids in enumerate(self.ids):
-            dx = self.w1 @ self.dh[b]
-            if self.mask is not None:
-                dx = dx * self.mask[b]
-            for i, (sp, lo, hi) in enumerate(self.offsets):
-                yield sp, int(ids[i]), dx[lo:hi]
+    @classmethod
+    def join(cls, parts) -> "Grads":
+        """The sum of several examples' gradients: factors stacked example
+        after example, head gradients added in example order.  The examples
+        were taken all with dropout or all without."""
+        if len(parts) == 1:
+            return parts[0]
+        heads = {}
+        for g in parts:
+            for name, (w, b) in g.heads.items():
+                if name in heads:
+                    w, b = heads[name][0] + w, heads[name][1] + b
+                heads[name] = (w, b)
+        mask = None if parts[0].mask is None else np.concatenate([g.mask for g in parts])
+        return cls(np.concatenate([g.ids for g in parts]), np.concatenate([g.x for g in parts]),
+                   np.concatenate([g.dh for g in parts]), mask, heads)
 
 
 class QNetwork:
@@ -560,34 +564,28 @@ class QNetwork:
         cache = (ids, x, h, act, head, mask_in, mask_h)
         return q, cache
 
-    def backward(self, cache, dq: np.ndarray):
+    def backward(self, cache, dq: np.ndarray) -> Grads:
         ids, x, h, act, head, mask_in, mask_h = cache
         w, _ = self.heads[head]
-        grads = {
-            f"head:{head}:w": np.outer(act, dq).astype(self.dtype),
-            f"head:{head}:b": dq.astype(self.dtype),
-        }
         dact = (w @ dq).astype(self.dtype)
         dh = dact * (h > 0)
         if mask_h is not None:
             dh = dh * mask_h
-        grads["w1"] = OuterGrad(x[:, None], dh[None, :])
-        grads["b1"] = dh
         mask = None if mask_in is None else mask_in[None, :]
-        grads["emb"] = EmbGrad(ids[None, :], dh[None, :], mask, self._offsets, self.w1)
-        return grads
+        head_grads = {head: (np.outer(act, dq).astype(self.dtype), dq.astype(self.dtype))}
+        return Grads(ids[None, :], x[None, :], dh[None, :], mask, head_grads)
 
-    def apply_grads(self, grads, alpha: float, scale: float = 1.0) -> None:
+    def apply_grads(self, grads: Grads, step: float) -> None:
+        """Subtract step times the gradient from the parameters."""
         self.table = None
-        step = alpha * scale
-        for name, g in grads.items():
-            if name not in ("w1", "emb"):
-                self.get_param(name)[...] -= step * g
-        emb = grads["emb"]
-        dx = self._apply_outer(grads["w1"], emb.dh, step)
-        if emb.mask is not None:
-            dx *= emb.mask
-        self._apply_emb(emb.ids, dx, step)
+        for name, (w, b) in grads.heads.items():
+            self.heads[name][0] -= step * w
+            self.heads[name][1] -= step * b
+        self.b1 -= step * grads.dh.sum(axis=0)
+        dx = self._apply_w1(grads.x, grads.dh, step)
+        if grads.mask is not None:
+            dx *= grads.mask
+        self._apply_emb(grads.ids, dx, step)
 
     def _apply_emb(self, ids: np.ndarray, dx: np.ndarray, step: float) -> None:
         """Subtract step * dx from the rows the ids name, with one
@@ -601,8 +599,8 @@ class QNetwork:
         index = self._x_base + ids[:, self._x_slot] * self._x_width
         np.subtract.at(self._emb_flat, index.ravel(), (step * dx).ravel())
 
-    def _apply_outer(self, g: OuterGrad, dh: np.ndarray, step: float) -> np.ndarray:
-        """w1 -= step * (g.u @ g.v), in place, one block of rows at a time
+    def _apply_w1(self, x: np.ndarray, dh: np.ndarray, step: float) -> np.ndarray:
+        """w1 -= step * (x.T @ dh), in place, one block of rows at a time
         through the reused block buffer, so no input x hidden array is
         made; returns dx with dx[b] = w1 @ dh[b] as w1 was before the
         update.  Each block's rows of dx are computed just before the
@@ -617,12 +615,13 @@ class QNetwork:
         w1, buf = self.w1, self._block
         rows = len(buf)
         dx = np.empty((len(dh), len(w1)), dtype=w1.dtype)
-        product = np.multiply if g.u.shape[1] == 1 else np.matmul
+        u = x.T
+        product = np.multiply if len(x) == 1 else np.matmul
         for a in range(0, len(w1), rows):
             block = w1[a : a + rows]
             for d, out in zip(dh, dx):
                 np.matmul(block, d, out=out[a : a + rows])
-            t = product(g.u[a : a + rows], g.v, out=buf[: len(block)])
+            t = product(u[a : a + rows], dh, out=buf[: len(block)])
             t *= step
             block -= t
         return dx
@@ -642,46 +641,20 @@ def td_update(net, ids, head, action_index, target, alpha, drop_rng=None) -> flo
     return loss
 
 
-def supervised_grads(net, ids, head, gold_index, drop_rng=None):
-    """Cross-entropy loss of one example, treating the head as a
-    classifier, and its gradients."""
-    q, cache = net.forward(ids, head, drop_rng)
-    loss, dlogits = cross_entropy(q, gold_index)
-    if not (np.isfinite(loss) and np.isfinite(dlogits).all()):
-        raise FloatingPointError("non-finite supervised gradient")
-    return loss, net.backward(cache, dlogits)
-
-
-def supervised_update(net, ids, head, gold_index, alpha, drop_rng=None) -> float:
-    """One cross-entropy step on one example."""
-    loss, grads = supervised_grads(net, ids, head, gold_index, drop_rng)
-    net.apply_grads(grads, alpha)
-    return loss
-
-
-def sum_grads(grads_list) -> dict:
-    """The sum of several examples' gradients, in the form backward
-    returns: dense arrays added in order, the factors of w1 and of the
-    embedding tables joined example after example.  The examples were
-    taken all with dropout or all without."""
-    total = {}
-    w1, emb = [], []
-    for grads in grads_list:
-        for name, g in grads.items():
-            if name == "w1":
-                w1.append(g)
-            elif name == "emb":
-                emb.append(g)
-            elif name in total:
-                total[name] += g
-            else:
-                total[name] = g.copy()
-    total["w1"] = OuterGrad(np.concatenate([g.u for g in w1], axis=1),
-                            np.concatenate([g.v for g in w1], axis=0))
-    mask = None if emb[0].mask is None else np.concatenate([g.mask for g in emb])
-    total["emb"] = EmbGrad(np.concatenate([g.ids for g in emb]),
-                           np.concatenate([g.dh for g in emb]), mask, emb[0].offsets, emb[0].w1)
-    return total
+def supervised_update(net, examples, alpha, drop_rng=None) -> float:
+    """One step on the mean cross-entropy gradient of the examples, given
+    as (ids, head, gold index) triples and all taken at the same
+    parameters, treating each head as a classifier; returns the mean loss."""
+    losses, parts = [], []
+    for ids, head, gold_index in examples:
+        q, cache = net.forward(ids, head, drop_rng)
+        loss, dlogits = cross_entropy(q, gold_index)
+        if not (np.isfinite(loss) and np.isfinite(dlogits).all()):
+            raise FloatingPointError("non-finite supervised gradient")
+        losses.append(loss)
+        parts.append(net.backward(cache, dlogits))
+    net.apply_grads(Grads.join(parts), alpha * (1.0 / len(parts)))
+    return float(np.add.reduce(losses)) / len(losses)  # np.mean's bits, a third of its time
 
 
 # ----------------------------------------------------------------------

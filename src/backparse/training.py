@@ -28,8 +28,6 @@ from .neural import (
     heads_for_kind,
     q_target,
     slot_layout,
-    sum_grads,
-    supervised_grads,
     supervised_update,
     tag_inventory,
     td_update,
@@ -161,7 +159,7 @@ def build_model(kind: str, train_sentences, cfg: TrainConfig, k: int) -> Model:
         table = net.emb["word"]
         # Every row has the file's width; it must be word_dim whether or not
         # any word is in the vocabulary.
-        dim = len(next(iter(vectors.values()))) if vectors else cfg.word_dim
+        dim = len(next(iter(vectors.values())))
         if dim != cfg.word_dim:
             raise ValueError(f"{cfg.word_vectors}: pretrained vectors have dim {dim}, expected {cfg.word_dim}")
         for word, vec in vectors.items():
@@ -319,7 +317,7 @@ def train_supervised(train, dev, kind: str, cfg: TrainConfig):
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [pairs[i] for i in order[start : start + cfg.batch_size]]
-            losses.append(_supervised_step(model.net, batch, cfg.alpha, rng))
+            losses.append(supervised_update(model.net, batch, cfg.alpha, drop_rng=rng))
         metrics, backs = _dev_metrics(model, dev)
         sel = _selection_score(kind, metrics)
         if sel is not None and (best_score is None or sel > best_score):
@@ -330,18 +328,6 @@ def train_supervised(train, dev, kind: str, cfg: TrainConfig):
     if best is not None:
         model.net.set_params(best)
     return model, history
-
-
-def _supervised_step(net, batch, alpha, rng):
-    """One step on the mean gradient of the batch's examples, all taken at
-    the same parameters."""
-    if len(batch) == 1:
-        ids, head, gold = batch[0]
-        return supervised_update(net, ids, head, gold, alpha, drop_rng=rng)
-    losses, grads = zip(*(supervised_grads(net, ids, head, gold, drop_rng=rng)
-                          for ids, head, gold in batch))
-    net.apply_grads(sum_grads(grads), alpha, scale=1.0 / len(batch))
-    return float(np.mean(losses))
 
 
 def _dynamic_pairs(model, train):
@@ -377,6 +363,8 @@ def train_rl(train, dev, kind: str, cfg: TrainConfig, regime: str):
     k = cfg.k if regime == REGIME_RL_BACKTRACK else 0
     if regime == REGIME_RL_BACKTRACK and k < 1:
         raise ValueError("rl-backtrack needs an undo budget k >= 1")
+    if cfg.batch_size != 1:
+        raise ValueError(f"batch_size {cfg.batch_size} is supervised-only; {regime} steps on one decision at a time")
 
     model = build_model(kind, train, cfg, k=k)
     machine = model.machine

@@ -241,6 +241,32 @@ def corrupt_model(path, case: str) -> None:
     path.write_bytes(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n" + blob)
 
 
+def emb_grad_triples(net, grads):
+    """The embedding rows of a Grads record, as (space, row, vector)
+    triples in example order, then slot order: example b adds dx[b, lo:hi]
+    to row ids[b, slot] of the slot's table, with dx[b] = (w1 @ dh[b]) *
+    mask[b] from w1 as it is now."""
+    for b, ids in enumerate(grads.ids):
+        dx = net.w1 @ grads.dh[b]
+        if grads.mask is not None:
+            dx = dx * grads.mask[b]
+        for i, (sp, lo, hi) in enumerate(net._offsets):
+            yield sp, int(ids[i]), dx[lo:hi]
+
+
+def dense_grads(net, grads) -> dict:
+    """The dense gradient of every parameter, by name, from a Grads record."""
+    out = {name: np.zeros_like(net.get_param(name)) for name in net.param_names()}
+    for head, (w, b) in grads.heads.items():
+        out[f"head:{head}:w"] += w
+        out[f"head:{head}:b"] += b
+    out["w1"] += grads.x.T @ grads.dh
+    out["b1"] += grads.dh.sum(axis=0)
+    for sp, row, vec in emb_grad_triples(net, grads):
+        out[f"emb:{sp}"][row] += vec
+    return out
+
+
 # Header numbers that TrainConfig would refuse, as (field, value) pairs.
 BAD_HEADER_NUMBERS = [("gamma", True), ("gamma", 2.0), ("dropout", 1.0), ("dropout", -3),
                       ("k", False), ("k", 0.0)]

@@ -36,6 +36,7 @@ from backparse.training import (
 from helpers import (
     alternation_corpus,
     brute_max_gold_arcs,
+    dense_grads,
     lookahead_corpus,
     random_legal_walk,
     random_projective_heads,
@@ -188,20 +189,9 @@ def _tiny_float64_net(kind, seed):
     return net, ids, rng
 
 
-def _dense(net, grads):
-    out = {name: np.zeros_like(net.get_param(name)) for name in net.param_names()}
-    for name, g in grads.items():
-        if name == "emb":
-            for sp, row, vec in g:
-                out[f"emb:{sp}"][row] += vec
-        else:
-            out[name] += g
-    return out
-
-
 def _check_grads(net, ids, head, loss_fn, dloss_fn):
     q, cache = net.forward(ids, head)
-    analytic = _dense(net, net.backward(cache, dloss_fn(q)))
+    analytic = dense_grads(net, net.backward(cache, dloss_fn(q)))
     eps = 1e-6
     worst = 0.0
     for name in net.param_names():

@@ -61,6 +61,26 @@ class TestTrain:
         code = run(*train_args(corpus_file, tmp_path / "m.bpm", "--k", "1"))
         assert code == 2
 
+    @pytest.mark.parametrize("regime", ["rl", "rl-backtrack"])
+    def test_batch_size_conflicts_with_rl(self, tmp_path, capsys, regime):
+        # Refused before the corpus is read: this one does not exist.
+        code = run("train", "--corpus", tmp_path / "nope.conllu", "--regime", regime,
+                   "--batch-size", "4", "--out", tmp_path / "m.bpm")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: --batch-size 4 conflicts")
+
+    def test_word_vectors_without_vectors_is_one_error_line(self, tmp_path, corpus_file, capsys):
+        vec_file = tmp_path / "vectors.txt"
+        vec_file.write_text("0 8\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"word_vectors": str(vec_file)}))
+        code = run(*train_args(corpus_file, tmp_path / "m.bpm", "--config", cfg))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {vec_file}: holds no word vectors\n"
+        assert not (tmp_path / "m.bpm").exists()
+
     def test_zero_epochs_rejected(self, tmp_path, corpus_file):
         code = run(
             "train", "--corpus", corpus_file, "--epochs", "0",

@@ -12,6 +12,7 @@ from backparse.neural import (
     EMPTY_STACK,
     ERASED_SYM,
     FeatureExtractor,
+    Grads,
     HISTORY_LEN,
     Model,
     NO_DEP_GOV,
@@ -28,15 +29,16 @@ from backparse.neural import (
     q_target,
     slot_layout,
     smooth_l1,
-    sum_grads,
     supervised_update,
     tag_inventory,
     td_update,
 )
-from backparse.training import _supervised_step, build_model
+from backparse.training import build_model
 from helpers import (
     BAD_HEADER_NUMBERS,
     corrupt_model,
+    dense_grads,
+    emb_grad_triples,
     random_legal_walk,
     random_tagged_sentence,
     sent,
@@ -320,17 +322,6 @@ def numeric_grad(net, ids, head, loss_fn, eps=1e-6):
     return grads
 
 
-def dense_analytic(net, grads):
-    out = {name: np.zeros_like(net.get_param(name)) for name in net.param_names()}
-    for name, g in grads.items():
-        if name == "emb":
-            for sp, row, vec in g:
-                out[f"emb:{sp}"][row] += vec
-        else:
-            out[name] += g
-    return out
-
-
 class TestGradients:
     @pytest.mark.parametrize("seed", range(4))
     def test_smooth_l1_gradcheck(self, seed):
@@ -344,7 +335,7 @@ class TestGradients:
         _, dpred = smooth_l1(q[action], target)
         dq = np.zeros_like(q)
         dq[action] = dpred
-        analytic = dense_analytic(net, net.backward(cache, dq))
+        analytic = dense_grads(net, net.backward(cache, dq))
 
         def loss_fn(qv):
             return smooth_l1(qv[action], target)[0]
@@ -366,7 +357,7 @@ class TestGradients:
 
         q, cache = net.forward(ids, "tag")
         _, dlogits = cross_entropy(q, gold)
-        analytic = dense_analytic(net, net.backward(cache, dlogits))
+        analytic = dense_grads(net, net.backward(cache, dlogits))
 
         def loss_fn(qv):
             return cross_entropy(qv, gold)[0]
@@ -408,7 +399,7 @@ class TestGradients:
     def test_repeated_supervised_updates_drive_loss_down(self):
         net = tiny_net("tagger", seed=9)
         ids = random_ids(net, random.Random(9))
-        losses = [supervised_update(net, ids, "tag", 2, alpha=0.05) for _ in range(150)]
+        losses = [supervised_update(net, [(ids, "tag", 2)], alpha=0.05) for _ in range(150)]
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < 0.05
 
@@ -424,17 +415,17 @@ class TestUpdate:
         q, cache = net.forward(ids, "tag", drop_rng=np.random.default_rng(2))
         _, dlogits = cross_entropy(q, 1)
         grads = net.backward(cache, dlogits)
-        x, dh = cache[1], grads["b1"]
+        x, dh = cache[1], grads.dh[0]
 
         step = 0.05
         expected = net.copy_params()
         expected["w1"] -= step * np.outer(x, dh).astype(np.float32)
-        for name, g in grads.items():
-            if name == "emb":
-                for sp, row, vec in g:
-                    expected[f"emb:{sp}"][row] -= step * vec
-            elif name != "w1":
-                expected[name] -= step * g
+        expected["b1"] -= step * dh
+        for head, (w, b) in grads.heads.items():
+            expected[f"head:{head}:w"] -= step * w
+            expected[f"head:{head}:b"] -= step * b
+        for sp, row, vec in emb_grad_triples(net, grads):
+            expected[f"emb:{sp}"][row] -= step * vec
         net.apply_grads(grads, step)
         for name in net.param_names():
             assert net.get_param(name).dtype == np.float32
@@ -487,10 +478,10 @@ class TestUpdate:
         for ids, head, gold in batch:
             q, cache = net.forward(ids, head, drop)
             _, dlogits = cross_entropy(q, gold)
-            for name, g in dense_analytic(net, net.backward(cache, dlogits)).items():
+            for name, g in dense_grads(net, net.backward(cache, dlogits)).items():
                 total[name] += g
         alpha = 0.1
-        _supervised_step(net, batch, alpha, np.random.default_rng(11))
+        supervised_update(net, batch, alpha, drop_rng=np.random.default_rng(11))
         for name in net.param_names():
             expected = before[name] - (alpha / 3) * total[name]
             worst = np.max(np.abs(net.get_param(name) - expected) / np.maximum(1.0, np.abs(expected)))
@@ -504,7 +495,7 @@ class TestUpdate:
         batch = [(random_ids(net, rng), "tag", 1) for _ in range(batch_size)]
         before = net.copy_params()
         with pytest.raises(FloatingPointError, match="non-finite"):
-            _supervised_step(net, batch, 0.1, np.random.default_rng(0))
+            supervised_update(net, batch, 0.1, drop_rng=np.random.default_rng(0))
         after = net.copy_params()
         assert all(np.array_equal(before[n], after[n], equal_nan=True) for n in before)
 
@@ -512,7 +503,7 @@ class TestUpdate:
 def emb_triples(net, ids, cache, grads):
     """The (space, row, vector) triples of one example, one per slot, with
     dx recomputed from the cache as w1 @ dh times the input dropout mask."""
-    dx = (net.w1 @ grads["b1"]).astype(net.dtype)
+    dx = (net.w1 @ grads.dh[0]).astype(net.dtype)
     if cache[5] is not None:
         dx = dx * cache[5]
     triples, off = [], 0
@@ -547,7 +538,7 @@ class TestEmbeddingUpdate:
         for ids, head, gold in examples:
             q, cache = net.forward(ids, head, drop)
             grads.append(net.backward(cache, cross_entropy(q, gold)[1]))
-        rows = [(sp, row) for g in grads for sp, row, _ in g["emb"]]
+        rows = [(sp, row) for g in grads for sp, row, _ in emb_grad_triples(net, g)]
         per_example = len(net.layout)
         assert len(set(rows[:per_example])) < per_example
         if batch > 1:
@@ -556,9 +547,9 @@ class TestEmbeddingUpdate:
         step = 0.5 / batch
         expected = net.copy_params()
         for g in grads:
-            for sp, row, vec in g["emb"]:
+            for sp, row, vec in emb_grad_triples(net, g):
                 expected[f"emb:{sp}"][row] -= step * vec
-        net.apply_grads(grads[0] if batch == 1 else sum_grads(grads), 0.5, scale=1.0 / batch)
+        net.apply_grads(Grads.join(grads), 0.5 * (1.0 / batch))
         for sp in net.emb:
             assert net.emb[sp].dtype == np.float32
             assert np.array_equal(net.emb[sp], expected[f"emb:{sp}"]), sp
@@ -581,8 +572,8 @@ class TestEmbeddingUpdate:
                 assert vec.dtype == vec2.dtype and np.array_equal(vec, vec2)
 
         for g, want in zip(grads, expected):
-            same(list(g["emb"]), want)
-        same(list(sum_grads(grads)["emb"]), [t for want in expected for t in want])
+            same(list(emb_grad_triples(net, g)), want)
+        same(list(emb_grad_triples(net, Grads.join(grads))), [t for want in expected for t in want])
 
     @pytest.mark.parametrize("batch", [1, 3])
     def test_blocked_dx_is_one_gemv_over_w1_before_the_update(self, batch):
@@ -600,15 +591,16 @@ class TestEmbeddingUpdate:
             g = net.backward(cache, cross_entropy(q, gold)[1])
             assert cache[5] is not None
             grads.append(g)
-            examples.append((ids, (net.w1 @ g["b1"]) * cache[5]))
-        total = grads[0] if batch == 1 else sum_grads(grads)
+            examples.append((ids, (net.w1 @ g.dh[0]) * cache[5]))
+        total = Grads.join(grads)
 
         step = 0.5 * (1.0 / batch)
         expected = net.copy_params()
-        expected["w1"] -= step * np.asarray(total["w1"])
-        for name, g in total.items():
-            if name not in ("w1", "emb"):
-                expected[name] -= step * g
+        expected["w1"] -= step * (total.x.T @ total.dh)
+        expected["b1"] -= step * sum(g.dh[0] for g in grads)
+        for head, (w, b) in total.heads.items():
+            expected[f"head:{head}:w"] -= step * w
+            expected[f"head:{head}:b"] -= step * b
         triples = []
         for ids, dx in examples:
             for i, (sp, _) in enumerate(net.layout):
@@ -616,11 +608,11 @@ class TestEmbeddingUpdate:
                 triples.append((sp, int(ids[i]), dx[lo:hi]))
                 expected[f"emb:{sp}"][ids[i]] -= step * dx[lo:hi]
         # Before the update, the gradient still iterates as these triples.
-        got = list(total["emb"])
+        got = list(emb_grad_triples(net, total))
         assert [(sp, row) for sp, row, _ in got] == [(sp, row) for sp, row, _ in triples]
         assert all(np.array_equal(v, w) for (_, _, v), (_, _, w) in zip(got, triples))
 
-        net.apply_grads(total, 0.5, scale=1.0 / batch)
+        net.apply_grads(total, step)
         for name in net.param_names():
             assert np.array_equal(net.get_param(name), expected[name]), name
 
@@ -639,7 +631,7 @@ class TestEmbeddingUpdate:
         m, s = model.machine, corpus[0]
         ids = model.extractor.extract(m.initial(s), s, m)
         flat = net._emb_flat.copy()
-        supervised_update(net, ids, "tag", 1, alpha=0.1)
+        supervised_update(net, [(ids, "tag", 1)], alpha=0.1)
         assert one_buffer(net) and not np.array_equal(flat, net._emb_flat)
 
         model.save(tmp_path / "m.bpm")

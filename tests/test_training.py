@@ -1,11 +1,13 @@
 import hashlib
 import random
 import tracemalloc
+import warnings
 from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from backparse import training
 from backparse.machine import BACK, BACK_STATE, Machine, NOBACK, max_actions
@@ -162,6 +164,12 @@ class TestRL:
         with pytest.raises(ValueError, match="regime"):
             train_rl([], [], "tagger", small_config(), "sup")
 
+    @pytest.mark.parametrize("regime", [REGIME_RL, REGIME_RL_BACKTRACK])
+    def test_batch_size_rejected(self, regime):
+        corpus = alternation_corpus(5, seed=5)
+        with pytest.raises(ValueError, match="batch_size 7 is supervised-only"):
+            train_rl(corpus, [], "tagger", small_config(epochs=1, k=1, batch_size=7), regime)
+
     def test_deterministic_across_runs(self):
         corpus = lookahead_corpus(15, seed=1)
         cfg = small_config(epochs=3, hidden=16, word_dim=8, dropout=0.1, k=1)
@@ -270,6 +278,18 @@ class TestGoldenTraining:
             digest.update((tmp_path / "m").read_bytes())
         assert digest.hexdigest() == self.DIGEST
 
+    # The same corpus and sizes trained with batch-3 supervised steps; the
+    # digest was computed before the batch and single-example steps became
+    # one code path, so it pins the batch sum and its scaling.
+    BATCH_DIGEST = "11663aacc2f05d1db30277af6285979c3caca893c490a19738350a4220ddac19"
+
+    def test_batched_model_bytes_match_recorded_digest(self, tmp_path):
+        corpus = toy_grammar_corpus(8, seed=11)
+        cfg = small_config(epochs=3, hidden=64, word_dim=32, feat_dim=16, dropout=0.3, batch_size=3)
+        model, _ = train_supervised(corpus, corpus[:3], "tagparser", cfg)
+        model.save(tmp_path / "m")
+        assert hashlib.sha256((tmp_path / "m").read_bytes()).hexdigest() == self.BATCH_DIGEST
+
     def test_batched_supervised_run_is_deterministic(self, tmp_path):
         corpus = toy_grammar_corpus(8, seed=12)
         cfg = small_config(epochs=3, batch_size=3)
@@ -353,6 +373,56 @@ class TestWordVectors:
         with pytest.raises(ValueError, match="vectors.txt: pretrained vectors have dim 3, expected 32"):
             build_model("tagger", corpus, cfg, k=0)
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "0 300\n", "2 300\n\n"])
+    def test_file_without_vectors_rejected(self, tmp_path, text):
+        vec_file = tmp_path / "vectors.txt"
+        vec_file.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="vectors.txt: holds no word vectors"):
+            load_word_vectors(vec_file)
+        cfg = small_config(word_dim=300, word_vectors=str(vec_file))
+        with pytest.raises(ValueError, match="vectors.txt: holds no word vectors"):
+            build_model("tagger", alternation_corpus(5, seed=0), cfg, k=0)
+
+    def test_header_dim_must_match_rows(self, tmp_path):
+        vec_file = tmp_path / "vectors.txt"
+        vec_file.write_text("2 300\ntok 0.5 0.25\nfoo 1 2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="vectors.txt:1: header declares dim 300, but rows hold 2"):
+            load_word_vectors(vec_file)
+
+    def test_non_utf8_file_names_path(self, tmp_path):
+        vec_file = tmp_path / "vectors.txt"
+        vec_file.write_bytes(b"tok 0.5 \xff\n")
+        with pytest.raises(ValueError, match="vectors.txt: not UTF-8 text"):
+            load_word_vectors(vec_file)
+
+    FIELDS = st.one_of(
+        st.sampled_from(["tok", "foo", "2", "300", "0", "0.5", "-1e3", "1e40", "nan", "inf", "x",
+                         "\u00b2", "\u0661", "\t", "\n", "\r"]),
+        st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{1,2})?", fullmatch=True),
+        st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3),
+    )
+    CONTENTS = st.one_of(
+        st.lists(st.lists(FIELDS, max_size=5).map(" ".join), max_size=6)
+        .map(lambda lines: "\n".join(lines).encode("utf-8")),
+        st.binary(max_size=40),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(CONTENTS)
+    def test_fuzz_loader_returns_vectors_or_names_the_file(self, tmp_path_factory, content):
+        vec_file = tmp_path_factory.getbasetemp() / "fuzz-vectors.txt"
+        vec_file.write_bytes(content)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning would be a second stderr line
+                vectors = load_word_vectors(vec_file)
+        except ValueError as e:
+            assert str(vec_file) in str(e)
+        else:
+            widths = {len(v) for v in vectors.values()}
+            assert len(widths) == 1 and 0 not in widths
+            assert all(v.dtype == np.float32 and np.isfinite(v).all() for v in vectors.values())
+
 
 def table_model(kind, k=1):
     """A toy-vocabulary model whose dims let the precomputed table fit,
@@ -431,7 +501,7 @@ class TestPrecomputedTable:
         tables = [decodes_like_a_fresh_load()]
         td_update(net, ids, "tag", 1, 5.0, alpha=0.5)
         tables.append(decodes_like_a_fresh_load())
-        supervised_update(net, ids, "tag", 2, alpha=0.5)
+        supervised_update(net, [(ids, "tag", 2)], alpha=0.5)
         tables.append(decodes_like_a_fresh_load())
         net.set_params(other.net.copy_params())
         tables.append(decodes_like_a_fresh_load())
