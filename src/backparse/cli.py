@@ -119,11 +119,11 @@ def _build_parser():
     return p
 
 
-def _read_corpus(path):
+def _read_corpus(path, single_root=True):
     if not os.path.exists(path):
         raise UsageError(f"corpus file not found: {path}")
     with open(path, encoding="utf-8") as f:
-        return parse_conllu(f.read())
+        return parse_conllu(f.read(), single_root)
 
 
 def _sha256(path):
@@ -284,7 +284,9 @@ def cmd_decode(args) -> int:
 
 def cmd_eval(args) -> int:
     gold = _read_corpus(args.gold)
-    pred = _read_corpus(args.pred)
+    # Decoding leaves every word still headless at the end on the root, so
+    # predictions may hold several root-attached words; gold trees may not.
+    pred = _read_corpus(args.pred, single_root=False)
     metrics = score(pred, gold)
     out = {
         "upos": metrics.upos_accuracy,
@@ -293,7 +295,7 @@ def cmd_eval(args) -> int:
         "sentences": metrics.n_sentences,
     }
     if args.compare:
-        other = _read_corpus(args.compare)
+        other = _read_corpus(args.compare, single_root=False)
         out["compare_" + args.metric] = getattr(
             score(other, gold), "uas" if args.metric == "uas" else "upos_accuracy"
         )

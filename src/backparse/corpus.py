@@ -81,19 +81,22 @@ class CorpusSplit:
         return train, dev, test
 
 
-def _is_range_id(field: str) -> bool:
-    return "-" in field
+def _is_skipped_id(field: str) -> bool:
+    """A multiword-token range (`1-2`) or an empty node (`1.1`)."""
+    for sep in "-.":
+        first, found, second = field.partition(sep)
+        if found and first.isdecimal() and second.isdecimal():
+            return True
+    return False
 
 
-def _is_empty_node_id(field: str) -> bool:
-    return "." in field
-
-
-def parse_conllu(text: str) -> list[Sentence]:
+def parse_conllu(text: str, single_root: bool = True) -> list[Sentence]:
     """Parse 10-column CoNLL-U text into validated sentences.
 
     Comments, multiword-token ranges and empty nodes are skipped.  Only the
-    ID, FORM, UPOS and HEAD columns are retained.
+    ID, FORM, UPOS and HEAD columns are retained.  With `single_root`
+    false a sentence may attach several tokens to the root, as decoded
+    trees can; cycles and bad heads are still refused.
     """
     sentences = []
     pending: list[Token] = []
@@ -101,7 +104,7 @@ def parse_conllu(text: str) -> list[Sentence]:
 
     def flush():
         if pending:
-            sentences.append(_validate(tuple(pending), pending_line))
+            sentences.append(_validate(tuple(pending), pending_line, single_root))
             pending.clear()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -114,25 +117,23 @@ def parse_conllu(text: str) -> list[Sentence]:
         fields = line.split("\t")
         if len(fields) != 10:
             raise ConlluError(line_no, f"expected 10 columns, got {len(fields)}")
-        if _is_range_id(fields[0]) or _is_empty_node_id(fields[0]):
-            continue
-        try:
-            tok_id = int(fields[0])
-        except ValueError:
-            raise ConlluError(line_no, f"non-integer ID {fields[0]!r}") from None
-        try:
-            head = int(fields[6])
-        except ValueError:
-            raise ConlluError(line_no, f"non-integer HEAD {fields[6]!r}") from None
+        if not fields[0].isdecimal():
+            if _is_skipped_id(fields[0]):
+                continue
+            raise ConlluError(line_no, f"malformed ID {fields[0]!r}")
+        if not fields[6].isdecimal():
+            raise ConlluError(line_no, f"non-integer HEAD {fields[6]!r}")
+        if not fields[1]:
+            raise ConlluError(line_no, "empty FORM")
         upos = fields[3] if fields[3] != "_" else UNK_TAG
         if not pending:
             pending_line = line_no
-        pending.append(Token(id=tok_id, form=fields[1], upos=upos, head=head))
+        pending.append(Token(id=int(fields[0]), form=fields[1], upos=upos, head=int(fields[6])))
     flush()
     return sentences
 
 
-def _validate(tokens: tuple[Token, ...], line_no: int) -> Sentence:
+def _validate(tokens: tuple[Token, ...], line_no: int, single_root: bool) -> Sentence:
     n = len(tokens)
     for i, t in enumerate(tokens, start=1):
         if t.id != i:
@@ -145,15 +146,15 @@ def _validate(tokens: tuple[Token, ...], line_no: int) -> Sentence:
             )
         if t.head == t.id:
             raise ValidationError(f"block at line {line_no}: token {t.id} is its own head")
-    _check_tree(tokens, line_no)
+    _check_tree(tokens, line_no, single_root)
     return Sentence(tokens)
 
 
-def _check_tree(tokens, line_no):
+def _check_tree(tokens, line_no, single_root):
     # Every token must reach the root (0) without revisiting a node.
     n = len(tokens)
     roots = sum(1 for t in tokens if t.head == 0)
-    if n > 0 and roots != 1:
+    if single_root and n > 0 and roots != 1:
         raise ValidationError(f"block at line {line_no}: {roots} root-attached tokens, expected 1")
     for t in tokens:
         seen = set()

@@ -2,8 +2,9 @@
 
 Three machine kinds share one topology family: a BACK state deciding
 whether to undo the previous word's actions, plus task states that tag
-(POS) and/or parse (SYNT).  Every action records the payload its exact
-inverse needs, so any configuration can be rolled back action by action.
+(POS) and/or parse (SYNT).  Configurations are immutable and each keeps
+the one it was made from, so undo returns that one, and BACK returns to
+the configuration before the last word's actions.
 """
 from __future__ import annotations
 
@@ -95,10 +96,9 @@ _TOP_UNGOVERNED = (LEFT, RIGHT, SHIFT)
 
 @dataclass(frozen=True)
 class Applied:
-    """A history entry: the action, its undo payload, its training reward."""
+    """A history entry: the action and its training reward."""
 
     action: Action
-    payload: dict
     reward: float | None = None
 
 
@@ -112,12 +112,48 @@ class Configuration:
     back_counts: tuple[int, ...]
     frontier: int                    # rightmost word index ever reached
     terminal: bool
-    log: tuple[Applied, ...] = ()    # every applied action, append-only
-    live: tuple[Applied, ...] = ()   # actions whose effects are in force
+    entry: Applied | None = None     # the action that made this configuration
+    n_actions: int = 0               # length of the history
+    # The configuration `entry` was applied to, and the one the last live
+    # NOBACK was applied to (None while nothing can be undone).  Both lead
+    # down the whole history, so neither is compared or printed.
+    prev: Configuration | None = field(default=None, compare=False, repr=False)
+    back_to: Configuration | None = field(default=None, compare=False, repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        return self.core_fields() == other.core_fields() and self.log == other.log
 
     @property
     def n(self) -> int:
         return len(self.pos_tape)
+
+    @property
+    def log(self) -> tuple[Applied, ...]:
+        """Every applied action, oldest first."""
+        entries = []
+        c = self
+        while c.entry is not None:
+            entries.append(c.entry)
+            c = c.prev
+        return tuple(reversed(entries))
+
+    @property
+    def live(self) -> tuple[Applied, ...]:
+        """The applied actions whose effects are in force, oldest first."""
+        return tuple(self.live_entries())[::-1]
+
+    def live_entries(self):
+        """The live history, newest first: each BACK and the span it undid
+        are skipped by going on from the configuration BACK returned to."""
+        c = self
+        while c.entry is not None:
+            if c.entry.action.kind == "back":
+                c = c.prev.back_to
+            else:
+                yield c.entry
+                c = c.prev
 
     def core_fields(self):
         """Everything except the histories, for inverse-exactness checks."""
@@ -188,27 +224,15 @@ class Machine:
 
     def initial(self, sentence) -> Configuration:
         n = sentence.n
-        work = {
-            "state": BACK_STATE,
-            "word_index": 1,
-            "stack": (),
-            "pos_tape": (EMPTY,) * n,
-            "gov_tape": (EMPTY,) * n,
-            "back_counts": (0,) * n,
-            "frontier": 1,
-            "terminal": False,
-            "log": (),
-            "live": (),
-        }
-        self._settle(work)
-        return Configuration(**work)
+        state, terminal = self._settle(BACK_STATE, 1, n, (), (0,) * n, None)
+        return Configuration(state, 1, (), (EMPTY,) * n, (EMPTY,) * n, (0,) * n, 1, terminal)
 
     def legal_actions(self, c: Configuration) -> tuple[Action, ...]:
         """Legal actions, in the fixed per-head order used everywhere."""
         if c.terminal:
             raise TerminalError("terminal configuration has no legal actions")
         if c.state == BACK_STATE:
-            if self._back_possible(c.back_counts, c.word_index, c.n, c.live):
+            if self._back_possible(c.back_counts, c.word_index, c.n, c.back_to):
                 return _BACK_OR_NOT
             return _NOBACK_ONLY
         if c.state == POS_STATE:
@@ -223,15 +247,13 @@ class Machine:
         return _TOP_UNGOVERNED
 
     def back_allowed(self, c: Configuration) -> bool:
-        return self._back_possible(c.back_counts, c.word_index, c.n, c.live)
+        return self._back_possible(c.back_counts, c.word_index, c.n, c.back_to)
 
-    def _back_possible(self, back_counts, word_index, n, live) -> bool:
+    def _back_possible(self, back_counts, word_index, n, back_to) -> bool:
         if self.k == 0 or n == 0:
             return False
         idx = min(word_index, n)
-        if back_counts[idx - 1] >= self.k:
-            return False
-        return any(e.action.kind == "noback" for e in live)
+        return back_counts[idx - 1] < self.k and back_to is not None
 
     def _why_illegal(self, c: Configuration, a: Action) -> str:
         if a.kind in ("back", "noback") and c.state != BACK_STATE:
@@ -269,41 +291,48 @@ class Machine:
             raise TerminalError("cannot apply an action to a terminal configuration")
         if a not in self.legal_actions(c):
             raise IllegalActionError(f"{a}: {self._why_illegal(c, a)}")
-        work = self._work(c)
+        entry = Applied(a, reward)
         if a.kind == "back":
-            payload = self._execute_back(work)
-            entry = Applied(a, payload, reward)
-        else:
-            payload = self._make_payload(work, a)
-            self._apply_core(work, a, payload)
-            self._settle(work)
-            entry = Applied(a, payload, reward)
-            work["live"] = work["live"] + (entry,)
-        work["log"] = work["log"] + (entry,)
-        return Configuration(**work)
+            return self._back(c, entry)
+        wi, stack, pos_tape, gov_tape = c.word_index, c.stack, c.pos_tape, c.gov_tape
+        if a.kind == "tag":
+            pos_tape = _set(pos_tape, wi - 1, a.tag)
+            if self.kind == TAGGER:
+                wi += 1
+        elif a.kind == "left":
+            gov_tape = _set(gov_tape, stack[-1] - 1, wi)
+            stack = stack[:-1]
+        elif a.kind == "right":
+            gov_tape = _set(gov_tape, wi - 1, stack[-1])
+            stack += (wi,)
+            wi += 1
+        elif a.kind == "shift":
+            stack += (wi,)
+            wi += 1
+        elif a.kind == "reduce":
+            top = stack[-1]
+            if wi > c.n and not cell_is_value(gov_tape[top - 1]):
+                gov_tape = _set(gov_tape, top - 1, 0)  # cleanup: headless words go to the root
+            stack = stack[:-1]
+        back_to = c if a.kind == "noback" else c.back_to
+        state, terminal = self._settle(
+            _NEXT_STATE[self.kind][a.kind], wi, c.n, stack, c.back_counts, back_to
+        )
+        return Configuration(state, wi, stack, pos_tape, gov_tape, c.back_counts,
+                             max(c.frontier, wi), terminal, entry, c.n_actions + 1, c, back_to)
 
     def undo(self, c: Configuration, a: Action) -> Configuration:
         """Exact inverse of apply; `a` must be the most recent log entry."""
-        if not c.log:
+        if c.entry is None:
             raise UndoError("history is empty")
-        entry = c.log[-1]
-        if entry.action != a:
-            raise UndoError(f"last applied action is {entry.action}, not {a}")
-        work = self._work(c)
-        if a.kind == "back":
-            self._unexecute_back(work, entry.payload)
-        else:
-            if not c.live or c.live[-1] is not entry:
-                raise UndoError("live history out of sync with the log")
-            self._unapply_core(work, a, entry.payload)
-            work["live"] = work["live"][:-1]
-        work["log"] = work["log"][:-1]
-        return Configuration(**work)
+        if c.entry.action != a:
+            raise UndoError(f"last applied action is {c.entry.action}, not {a}")
+        return c.prev
 
     def peek_back_span(self, c: Configuration) -> tuple[Applied, ...]:
         """The live suffix a BACK applied now would undo, oldest first."""
         span = []
-        for entry in reversed(c.live):
+        for entry in c.live_entries():
             span.append(entry)
             if entry.action.kind == "noback":
                 return tuple(reversed(span))
@@ -313,199 +342,44 @@ class Machine:
     # internals
 
     @staticmethod
-    def _work(c: Configuration) -> dict:
-        return {
-            "state": c.state,
-            "word_index": c.word_index,
-            "stack": c.stack,
-            "pos_tape": c.pos_tape,
-            "gov_tape": c.gov_tape,
-            "back_counts": c.back_counts,
-            "frontier": c.frontier,
-            "terminal": c.terminal,
-            "log": c.log,
-            "live": c.live,
-        }
+    def _back(c: Configuration, entry: Applied) -> Configuration:
+        """Return to `c.back_to`, the configuration the last live NOBACK was
+        applied to, but keep what the undone span saw: the frontier stays,
+        the current word's undo counter rises, and every tape cell the span
+        wrote reads ERASED, not empty, so later feature extraction can tell."""
+        q = c.back_to
+        idx = min(c.word_index, c.n) - 1
+        counts = _set(c.back_counts, idx, c.back_counts[idx] + 1)
+        return Configuration(BACK_STATE, q.word_index, q.stack, _erase(c.pos_tape, q.pos_tape),
+                             _erase(c.gov_tape, q.gov_tape), counts, c.frontier, False,
+                             entry, c.n_actions + 1, c, q.back_to)
 
-    def _make_payload(self, work: dict, a: Action) -> dict:
-        p = {"st": work["state"], "fr": work["frontier"], "tm": work["terminal"]}
-        wi = work["word_index"]
-        if a.kind == "tag":
-            p["cell"] = work["pos_tape"][wi - 1]
-        elif a.kind == "left":
-            top = work["stack"][-1]
-            p["popped"] = top
-            p["cell"] = work["gov_tape"][top - 1]
-        elif a.kind == "right":
-            p["cell"] = work["gov_tape"][wi - 1]
-        elif a.kind == "reduce":
-            top = work["stack"][-1]
-            p["popped"] = top
-            if wi > len(work["pos_tape"]) and not cell_is_value(work["gov_tape"][top - 1]):
-                p["wrote"] = True
-                p["cell"] = work["gov_tape"][top - 1]
-        return p
-
-    def _apply_core(self, work: dict, a: Action, p: dict) -> None:
-        """Effects of one non-BACK action; shared by apply and redo."""
-        wi = work["word_index"]
-        if a.kind == "tag":
-            work["pos_tape"] = _set(work["pos_tape"], wi - 1, a.tag)
-            if self.kind == TAGGER:
-                work["word_index"] = wi + 1
-                work["frontier"] = max(work["frontier"], wi + 1)
-        elif a.kind == "left":
-            top = work["stack"][-1]
-            work["gov_tape"] = _set(work["gov_tape"], top - 1, wi)
-            work["stack"] = work["stack"][:-1]
-        elif a.kind == "right":
-            work["gov_tape"] = _set(work["gov_tape"], wi - 1, work["stack"][-1])
-            work["stack"] = work["stack"] + (wi,)
-            work["word_index"] = wi + 1
-            work["frontier"] = max(work["frontier"], wi + 1)
-        elif a.kind == "shift":
-            work["stack"] = work["stack"] + (wi,)
-            work["word_index"] = wi + 1
-            work["frontier"] = max(work["frontier"], wi + 1)
-        elif a.kind == "reduce":
-            top = work["stack"][-1]
-            if p.get("wrote"):
-                work["gov_tape"] = _set(work["gov_tape"], top - 1, 0)
-            work["stack"] = work["stack"][:-1]
-        elif a.kind == "noback":
-            pass
-        else:
-            raise AssertionError(a.kind)
-        work["state"] = _NEXT_STATE[self.kind][a.kind]
-
-    def _unapply_core(self, work: dict, a: Action, p: dict):
-        """Exact inverse of _apply_core; returns tape cells the action wrote."""
-        writes = []
-        if a.kind == "tag":
-            if self.kind == TAGGER:
-                work["word_index"] -= 1
-            wi = work["word_index"]
-            work["pos_tape"] = _set(work["pos_tape"], wi - 1, p["cell"])
-            writes.append(("pos", wi - 1))
-        elif a.kind == "left":
-            top = p["popped"]
-            work["gov_tape"] = _set(work["gov_tape"], top - 1, p["cell"])
-            work["stack"] = work["stack"] + (top,)
-            writes.append(("gov", top - 1))
-        elif a.kind == "right":
-            work["word_index"] -= 1
-            wi = work["word_index"]
-            work["gov_tape"] = _set(work["gov_tape"], wi - 1, p["cell"])
-            work["stack"] = work["stack"][:-1]
-            writes.append(("gov", wi - 1))
-        elif a.kind == "shift":
-            work["word_index"] -= 1
-            work["stack"] = work["stack"][:-1]
-        elif a.kind == "reduce":
-            top = p["popped"]
-            if p.get("wrote"):
-                work["gov_tape"] = _set(work["gov_tape"], top - 1, p["cell"])
-                writes.append(("gov", top - 1))
-            work["stack"] = work["stack"] + (top,)
-        elif a.kind == "noback":
-            pass
-        else:
-            raise AssertionError(a.kind)
-        work["state"] = p["st"]
-        work["frontier"] = p["fr"]
-        work["terminal"] = p["tm"]
-        return writes
-
-    def _execute_back(self, work: dict) -> dict:
-        p = {
-            "wi": work["word_index"],
-            "fr": work["frontier"],
-            "bidx": min(work["word_index"], len(work["pos_tape"])),
-        }
-        span = []
-        writes = []
-        while True:
-            if not work["live"]:
-                raise AssertionError("BACK applied with no undoable history")
-            entry = work["live"][-1]
-            work["live"] = work["live"][:-1]
-            span.append(entry)
-            writes.extend(self._unapply_core(work, entry.action, entry.payload))
-            if entry.action.kind == "noback":
-                break
-        p["span"] = tuple(reversed(span))
-        # Re-expose the erasures: cells the undone span had written show as
-        # erased, not empty, so later feature extraction can tell.
-        marks = []
-        for tape_name, idx in writes:
-            key = "pos_tape" if tape_name == "pos" else "gov_tape"
-            cur = work[key][idx]
-            if not cell_is_value(cur) and cur is not ERASED:
-                marks.append((tape_name, idx, cur))
-                work[key] = _set(work[key], idx, ERASED)
-        p["marks"] = tuple(marks)
-        # The stepwise undo rolled the frontier back; the whole point of
-        # backtracking is that the widest view survives.
-        p["fr_unwound"] = work["frontier"]
-        work["frontier"] = p["fr"]
-        counts = list(work["back_counts"])
-        counts[p["bidx"] - 1] += 1
-        work["back_counts"] = tuple(counts)
-        work["state"] = BACK_STATE
-        work["terminal"] = False
-        return p
-
-    def _unexecute_back(self, work: dict, p: dict) -> None:
-        counts = list(work["back_counts"])
-        counts[p["bidx"] - 1] -= 1
-        work["back_counts"] = tuple(counts)
-        work["frontier"] = p["fr_unwound"]
-        for tape_name, idx, prior in reversed(p["marks"]):
-            key = "pos_tape" if tape_name == "pos" else "gov_tape"
-            work[key] = _set(work[key], idx, prior)
-        for entry in p["span"]:
-            self._apply_core(work, entry.action, entry.payload)
-        work["live"] = work["live"] + p["span"]
-        work["state"] = BACK_STATE
-        work["word_index"] = p["wi"]
-        work["frontier"] = p["fr"]
-        work["terminal"] = False
-
-    def _settle(self, work: dict) -> None:
-        """Resolve free transitions once every word has been consumed.
+    def _settle(self, state, word_index, n, stack, back_counts, back_to):
+        """State and terminal flag after the free transitions that follow
+        once every word has been consumed.
 
         With no word left there is nothing to decide in POS, and the BACK
         state only stops if a backtrack is still permitted; otherwise the
         machine moves straight to stack cleanup or halts.
         """
-        n = len(work["pos_tape"])
-        while work["word_index"] > n and not work["terminal"]:
-            state = work["state"]
-            if state == BACK_STATE:
-                if self._back_possible(
-                    work["back_counts"], work["word_index"], n, work["live"]
-                ):
-                    return
-                if self.kind == TAGGER or not work["stack"]:
-                    work["terminal"] = True
-                    work["state"] = BACK_STATE
-                else:
-                    work["state"] = SYNT_STATE
-            elif state == POS_STATE:
-                if self.kind == TAGGER:
-                    work["terminal"] = True
-                    work["state"] = BACK_STATE
-                else:
-                    work["state"] = SYNT_STATE
-            else:  # SYNT: cleanup reduce actions pending while the stack drains
-                if work["stack"]:
-                    return
-                work["terminal"] = True
-                work["state"] = BACK_STATE
+        if word_index <= n:
+            return state, False
+        if state == BACK_STATE and self._back_possible(back_counts, word_index, n, back_to):
+            return state, False
+        if not stack:  # a tagger's stack is always empty
+            return BACK_STATE, True
+        return SYNT_STATE, False
 
 
 def _set(tape: tuple, idx: int, value) -> tuple:
     return tape[:idx] + (value,) + tape[idx + 1 :]
+
+
+def _erase(tape: tuple, before: tuple) -> tuple:
+    """`tape` with ERASED in every cell that differs from `before`."""
+    if tape is before:
+        return tape
+    return tuple(cell if cell == old else ERASED for cell, old in zip(tape, before))
 
 
 def replay(machine: Machine, sentence, log) -> Configuration:

@@ -238,9 +238,13 @@ class FeatureExtractor:
                     ids += [no_dep, no_dep]
 
         action = self.vocabs["action"].index.get
-        recent = c.log[-HISTORY_LEN:]
-        ids += [action(entry.action.symbol, 0) for entry in reversed(recent)]
-        ids += [self._action_pad] * (HISTORY_LEN - len(recent))
+        node = c  # the last HISTORY_LEN actions, newest first, then padding
+        for _ in range(HISTORY_LEN):
+            if node.entry is None:
+                ids.append(self._action_pad)
+            else:
+                ids.append(action(node.entry.action.symbol, 0))
+                node = node.prev
 
         if wi > n:
             ids += [self._letter_oob] * (2 * AFFIX_LEN)

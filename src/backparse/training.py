@@ -216,22 +216,22 @@ def decode(model: Model, sentence: Sentence, k: int | None = None) -> DecodeResu
         c = _advance_forced(machine, c, sentence, with_rewards=False)
         if c.terminal:
             break
-        if len(c.log) >= bound:
+        if c.n_actions >= bound:
             raise AssertionError(
-                f"decode used {len(c.log)} actions, above the {bound} bound"
+                f"decode used {c.n_actions} actions, above the {bound} bound"
             )
         a = model.greedy_action(c, sentence)
         c = machine.apply(c, a)
-    if len(c.log) > bound:
+    if c.n_actions > bound:
         raise AssertionError(
-            f"decode used {len(c.log)} actions, above the {bound} bound"
+            f"decode used {c.n_actions} actions, above the {bound} bound"
         )
     return DecodeResult(
         sentence=sentence,
         predicted=_predicted_sentence(machine, sentence, c),
         log=c.log,
         back_counts=c.back_counts,
-        n_actions=len(c.log),
+        n_actions=c.n_actions,
         machine=machine,
     )
 
@@ -339,7 +339,7 @@ def _dynamic_pairs(model, train):
     for s in train:
         bound = max_actions(s.n, machine.k, machine.kind)
         c = machine.initial(s)
-        while not c.terminal and len(c.log) <= bound:
+        while not c.terminal and c.n_actions <= bound:
             c = _advance_forced(machine, c, s, with_rewards=False)
             if c.terminal:
                 break
@@ -382,7 +382,7 @@ def train_rl(train, dev, kind: str, cfg: TrainConfig, regime: str):
             bound = max_actions(s.n, machine.k, machine.kind)
             c = _advance_forced(machine, machine.initial(s), s, with_rewards=True)
             while not c.terminal:
-                if len(c.log) > bound:
+                if c.n_actions > bound:
                     aborted += 1
                     break
                 a = select_action(model, machine, c, s, eps, beta, rng)

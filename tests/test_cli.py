@@ -206,6 +206,40 @@ class TestDecodeEvalStats:
         other.write_text(serialize(toy_grammar_corpus(3, seed=5)), encoding="utf-8")
         assert run("eval", "--pred", other, "--gold", corpus_file) == 1
 
+    def test_parser_decodes_evaluate(self, tmp_path, capsys):
+        # Decoded parses may leave several words on the root; eval reads
+        # them as predictions, but not as gold.
+        train, test = tmp_path / "train.conllu", tmp_path / "test.conllu"
+        train.write_text(serialize(toy_grammar_corpus(20, seed=1)), encoding="utf-8")
+        test.write_text(serialize(toy_grammar_corpus(20, seed=2)), encoding="utf-8")
+        model, pred = tmp_path / "parser.bpm", tmp_path / "pred.conllu"
+        assert run("train", "--corpus", train, "--machine", "parser", "--regime", "sup",
+                   "--epochs", "1", "--hidden", "16", "--out", model) == 0
+        assert run("decode", "--model", model, "--input", test, "--output", pred) == 0
+        decoded = parse_conllu(pred.read_text(), single_root=False)
+        assert any(s.heads.count(0) > 1 for s in decoded)
+        capsys.readouterr()
+        assert run("eval", "--pred", pred, "--gold", test, "--compare", pred,
+                   "--resamples", "50", "--json") == 0
+        assert json.loads(capsys.readouterr().out)["sentences"] == 20
+        assert run("eval", "--pred", test, "--gold", pred) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "root-attached tokens, expected 1" in err
+
+    @pytest.mark.parametrize("line", [
+        "1.5x\ta\t_\tX\t_\t_\t0\t_\t_\t_",
+        "1-x\ta\t_\tX\t_\t_\t0\t_\t_\t_",
+        " 1\ta\t_\tX\t_\t_\t0\t_\t_\t_",
+        "1\ta\t_\tX\t_\t_\t1_0\t_\t_\t_",
+        "1\t\t_\tX\t_\t_\t0\t_\t_\t_",
+    ], ids=["id-1.5x", "id-1-x", "id-space-1", "head-1_0", "empty-form"])
+    def test_malformed_line_is_one_error_line(self, tmp_path, corpus_file, capsys, line):
+        bad = tmp_path / "bad.conllu"
+        bad.write_text("# sent_id = 1\n" + line + "\n", encoding="utf-8")
+        assert run("eval", "--pred", bad, "--gold", corpus_file) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: line 2: ")
+
     def test_stats_without_backs_is_degenerate(self, corpus_file, trained, capsys):
         assert run("stats", "--model", trained, "--gold", corpus_file, "--json") == 0
         out = json.loads(capsys.readouterr().out)

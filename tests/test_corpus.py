@@ -79,6 +79,38 @@ class TestParseConllu:
         with pytest.raises(ValidationError):
             parse_conllu(text)
 
+    def test_several_roots_only_where_allowed(self):
+        text = "\n".join([conllu_line(1, "a", "X", 0), conllu_line(2, "b", "X", 0)])
+        (s,) = parse_conllu(text, single_root=False)
+        assert s.heads == (0, 0)
+        with pytest.raises(ValidationError, match="2 root-attached tokens"):
+            parse_conllu(text)
+
+    @pytest.mark.parametrize("heads,message", [
+        ((2, 1, 0), "cycle"),
+        ((2, 3, 1), "cycle"),
+        ((1, 0), "own head"),
+        ((0, 3), "out of range"),
+    ])
+    def test_several_roots_allowed_still_needs_a_forest(self, heads, message):
+        text = "\n".join(conllu_line(i, "w", "X", h) for i, h in enumerate(heads, start=1))
+        with pytest.raises(ValidationError, match=message):
+            parse_conllu(text, single_root=False)
+
+    @pytest.mark.parametrize("column,value,message", [
+        (0, "1.5x", "malformed ID"),
+        (0, "1-x", "malformed ID"),
+        (0, " 2", "malformed ID"),
+        (6, "1_0", "non-integer HEAD"),
+        (1, "", "empty FORM"),
+    ])
+    def test_malformed_field_names_its_line(self, column, value, message):
+        fields = conllu_line(2, "b", "X", 1).split("\t")
+        fields[column] = value
+        text = conllu_line(1, "a", "X", 0) + "\n" + "\t".join(fields) + "\n"
+        with pytest.raises(ConlluError, match=f"^line 2: {message}"):
+            parse_conllu(text)
+
     def test_missing_upos_becomes_unk(self):
         (s,) = parse_conllu(conllu_line(1, "a", "_", 0))
         assert s.upos(1) == UNK_TAG

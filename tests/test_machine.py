@@ -1,4 +1,7 @@
+import gc
+import hashlib
 import random
+import weakref
 
 import pytest
 
@@ -250,6 +253,54 @@ class TestUndo:
             s = random_tagged_sentence(rng.randint(1, 8), rng, tags=TAGS)
             c = random_legal_walk(m, s, rng, steps=40)[-1]
             assert replay(m, s, c.log) == c
+
+
+class TestPinnedWalks:
+    """Seeded random walks over every kind and budget; the digest was
+    recorded before BACK and undo were rebuilt on back-pointers, so it pins
+    the tapes (ERASED marks included), frontier, counters and histories
+    that hand-picked cases only sample."""
+
+    DIGEST = "87c544375b0a5d87c1bf71c43cc7e0b8b2be91e98cd48590d33dc097e050ed8d"
+
+    def test_walks_match_recorded_digest(self):
+        rng = random.Random(2026)
+        h = hashlib.sha256()
+        for k in (0, 1, 2):
+            for m in machines(k):
+                for _ in range(30):
+                    s = random_tagged_sentence(rng.randint(1, 9), rng, tags=TAGS,
+                                               projective=rng.random() < 0.5)
+                    visited = random_legal_walk(m, s, rng, steps=70, back_bias=0.5)
+                    for c in visited:
+                        h.update(repr((c.core_fields(), [e.action.symbol for e in c.log],
+                                       [e.action.symbol for e in c.live])).encode())
+                        if c.log:
+                            h.update(repr(m.undo(c, c.log[-1].action).core_fields()).encode())
+                        if not c.terminal and BACK in m.legal_actions(c):
+                            backed = m.apply(c, BACK)
+                            h.update(repr(backed.core_fields()).encode())
+                            h.update(repr(m.undo(backed, BACK).core_fields()).encode())
+        assert h.hexdigest() == self.DIGEST
+
+    def test_long_walk_compares_prints_and_frees(self):
+        # Deep histories must not make repr, == or deallocation recurse
+        # once per action.
+        m = Machine("tagparser", k=2, tags=TAGS)
+        s = simple_sent([0] + [1] * 149, tag="A")
+        c = m.initial(s)
+        for _ in range(3000):
+            if c.terminal:
+                break
+            legal = m.legal_actions(c)
+            c = m.apply(c, BACK if BACK in legal else legal[-1])
+        assert c.terminal and len(c.log) >= 1500
+        assert repr(c).startswith("Configuration(")
+        assert replay(m, s, c.log) == c
+        gone = weakref.ref(c)
+        del c
+        gc.collect()
+        assert gone() is None
 
 
 class TestBudgetInvariants:

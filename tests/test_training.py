@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from backparse import training
-from backparse.machine import BACK, BACK_STATE, Machine, NOBACK, max_actions
+from backparse.machine import BACK, BACK_STATE, Configuration, Machine, NOBACK, max_actions
 from backparse.neural import (
     BACK_ACTIONS,
     HEAD_BACK,
@@ -202,6 +203,19 @@ class TestDecode:
         a = decode(model, corpus[0])
         b = decode(model, corpus[0])
         assert a.predicted == b.predicted and a.log == b.log
+
+    def test_log_entries_keep_no_configuration_alive(self):
+        # A result outlives its decode; an entry that pointed at a
+        # configuration would keep every configuration of the decode alive.
+        corpus = toy_grammar_corpus(8, seed=9)
+        model = build_model("tagparser", corpus, small_config(), k=1)
+        model.net.heads[HEAD_BACK][1][BACK_ACTIONS.index(BACK)] = 0.5  # let BACK fire
+        results = decode_corpus(model, corpus)
+        assert any(e.action == BACK for r in results for e in r.log)
+        for entry in (e for r in results for e in r.log):
+            refs = gc.get_referents(entry)
+            refs += [v for r in refs if isinstance(r, dict) for v in r.values()]
+            assert not any(isinstance(x, Configuration) for x in refs)
 
     def test_predictions_cover_every_token(self):
         corpus = toy_grammar_corpus(6, seed=9)
