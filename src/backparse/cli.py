@@ -10,7 +10,14 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .corpus import kfold_split, parse_conllu, save_split_manifest, serialize
+from .corpus import (
+    ConlluError,
+    ValidationError,
+    kfold_split,
+    parse_conllu,
+    save_split_manifest,
+    serialize,
+)
 from .evaluation import back_stats, format_metrics_table, paired_bootstrap, score
 from .machine import KINDS, TAGGER, render_trace
 from .neural import Model
@@ -120,10 +127,19 @@ def _build_parser():
 
 
 def _read_corpus(path, single_root=True):
+    """The sentences of a CoNLL-U file; an error in it is one ValueError
+    that names the file (`path:line: ...` or `path: block at line N: ...`)."""
     if not os.path.exists(path):
         raise UsageError(f"corpus file not found: {path}")
-    with open(path, encoding="utf-8") as f:
-        return parse_conllu(f.read(), single_root)
+    try:
+        with open(path, encoding="utf-8") as f:
+            return parse_conllu(f.read(), single_root)
+    except ConlluError as e:
+        raise ValueError(f"{path}:{e.line_no}: {e.message}") from None
+    except ValidationError as e:
+        raise ValueError(f"{path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 def _sha256(path):

@@ -14,6 +14,7 @@ class ConlluError(ValueError):
     def __init__(self, line_no, message):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
 
 
 class ValidationError(ValueError):
@@ -151,19 +152,30 @@ def _validate(tokens: tuple[Token, ...], line_no: int, single_root: bool) -> Sen
 
 
 def _check_tree(tokens, line_no, single_root):
-    # Every token must reach the root (0) without revisiting a node.
+    # Every token must reach the root (0) without revisiting a node.  Tokens
+    # are walked in id order, and a walk stops at the first node that an
+    # earlier walk showed to reach the root, so each node is stepped on
+    # once; the error names the first token whose walk fails.
     n = len(tokens)
-    roots = sum(1 for t in tokens if t.head == 0)
+    head = [0] + [t.head for t in tokens]
+    roots = head.count(0) - 1
     if single_root and n > 0 and roots != 1:
         raise ValidationError(f"block at line {line_no}: {roots} root-attached tokens, expected 1")
-    for t in tokens:
-        seen = set()
-        cur = t.id
-        while cur != 0:
-            if cur in seen:
-                raise ValidationError(f"block at line {line_no}: cycle through token {t.id}")
-            seen.add(cur)
-            cur = tokens[cur - 1].head
+    # Per node: ROOTED once it is known to reach the root, else the token
+    # whose walk stepped on it, or 0 before any has.
+    ROOTED = -1
+    mark = [ROOTED] + [0] * n
+    for start in range(1, n + 1):
+        cur = start
+        while mark[cur] == 0:
+            mark[cur] = start
+            cur = head[cur]
+        if mark[cur] == start:
+            raise ValidationError(f"block at line {line_no}: cycle through token {start}")
+        cur = start
+        while mark[cur] == start:
+            mark[cur] = ROOTED
+            cur = head[cur]
 
 
 def serialize(sentences) -> str:

@@ -332,6 +332,20 @@ BLOCK_ELEMS = 1 << 17
 # more than one BLAS thread, the whole gemv is split at rows that depend
 # on the thread count, and its bits with them.
 ROW_GROUP = 16
+# A w1 with more elements than this (16 MB of float32) defers its updates
+# as low-rank factors (see apply_grads); smaller ones are updated in place
+# at every step.  Deferring was faster at desk size too (0.026 against
+# 0.057 ms per update of a 688x64 w1), but it rounds otherwise, and the
+# golden training digests pin the desk-size bits: this gate keeps every
+# desk and test network on the in-place path.  Deferring at every size is
+# a later change that re-records those digests.
+DEFER_ELEMS = 1 << 22
+# The factor pairs a deferring network holds before it folds them into w1.
+# At paper size (one BLAS thread, a shared 2-core VM) a fold of 32 pairs
+# took 25 ms, 0.8 ms per step, and the buffers take 1.1 MB; 16 pairs cost
+# 1.1 ms per step, and 48 saved under 0.1 ms per step once the larger
+# corrections in forward and dx are counted.
+DEFER_RANK = 32
 
 
 @dataclass
@@ -343,8 +357,8 @@ class Grads:
     order.  The w1 gradient is x.T @ dh and the b1 gradient the sum of dh's
     rows.  Example b adds dx[b, lo:hi] to row ids[b, slot] of each slot's
     table, where dx[b] = (w1 @ dh[b]) * mask[b]; apply_grads computes dx
-    block by block while it updates w1, each block's rows from the block
-    before its update."""
+    from w1 as it was before the update (block by block while it updates
+    w1 in place, each block's rows from the block before its update)."""
 
     ids: np.ndarray
     x: np.ndarray
@@ -391,7 +405,7 @@ class QNetwork:
         # copy of w1 (146 MB at paper scale) to fault in.
         lim = np.sqrt(6.0 / (self.input_dim + hidden))
         for a in range(0, self.input_dim, len(self._block)):
-            rows = self.w1[a : a + len(self._block)]
+            rows = self._w1[a : a + len(self._block)]
             np.copyto(rows, rng.uniform(-lim, lim, rows.shape))
         for name in sorted(self.heads):
             w = self.heads[name][0]
@@ -427,7 +441,13 @@ class QNetwork:
             self.emb[sp] = self._emb_flat[off : off + v * d].reshape(v, d)
             row0[sp] = off
             off += v * d
-        self.w1 = np.empty((self.input_dim, hidden), dtype=dtype)
+        # w1 is _w1 - U V^T, with the pending factor pairs of a deferring
+        # network as the rows of _u (step * x) and _v (dh); the buffers are
+        # made by its first update.
+        self._w1 = np.empty((self.input_dim, hidden), dtype=dtype)
+        self.defers = self.input_dim * hidden > DEFER_ELEMS
+        self._u = self._v = None
+        self._pending = 0
         self.b1 = np.zeros(hidden, dtype=dtype)
         self.heads = {
             name: [np.empty((hidden, heads[name]), dtype=dtype), np.zeros(heads[name], dtype=dtype)]
@@ -474,6 +494,20 @@ class QNetwork:
 
     # -- parameter access ------------------------------------------------
 
+    @property
+    def w1(self) -> np.ndarray:
+        """The input-to-hidden weights, with every pending update folded in."""
+        if self._pending:
+            self._fold()
+        return self._w1
+
+    @w1.setter
+    def w1(self, value) -> None:
+        # `net.w1 += d` assigns back the array it changed in place.
+        self._pending = 0
+        if value is not self._w1:
+            np.copyto(self._w1, value)
+
     def param_names(self):
         names = [f"emb:{sp}" for sp in SPACES if sp in self.emb]
         names += ["w1", "b1"]
@@ -503,6 +537,11 @@ class QNetwork:
 
     def set_params(self, params):
         self.table = None
+        # Pending factors are dropped, not folded, since every parameter is
+        # replaced; their buffers go too (a trained model keeps none), and
+        # the next deferred update makes them again.
+        self._u = self._v = None
+        self._pending = 0
         for n in self.param_names():
             np.copyto(self.get_param(n), params[n])
 
@@ -526,9 +565,10 @@ class QNetwork:
         shape = (self._table_rows, self.hidden)
         size = shape[0] * shape[1] * np.dtype(self.dtype).itemsize
         table = np.frombuffer(mmap.mmap(-1, size), dtype=self.dtype).reshape(shape)
+        w1 = self.w1
         for (sp, lo, hi), base in zip(self._offsets, self._table_base):
             emb = self.emb[sp]
-            np.matmul(emb, self.w1[lo:hi], out=table[base : base + len(emb)])
+            np.matmul(emb, w1[lo:hi], out=table[base : base + len(emb)])
         self.table = table
 
     def q_from_table(self, ids: np.ndarray, head: str) -> np.ndarray:
@@ -558,7 +598,10 @@ class QNetwork:
         if drop_rng is not None and p > 0:
             mask_in = (drop_rng.random(self.input_dim) >= p).astype(self.dtype) / (1.0 - p)
             x = x * mask_in
-        h = x @ self.w1 + self.b1
+        h = x @ self._w1 + self.b1
+        r = self._pending
+        if r:
+            h -= (self._u[:r] @ x) @ self._v[:r]
         if drop_rng is not None and p > 0:
             mask_h = (drop_rng.random(self.hidden) >= p).astype(self.dtype) / (1.0 - p)
             h = h * mask_h
@@ -580,13 +623,19 @@ class QNetwork:
         return Grads(ids[None, :], x[None, :], dh[None, :], mask, head_grads)
 
     def apply_grads(self, grads: Grads, step: float) -> None:
-        """Subtract step times the gradient from the parameters."""
+        """Subtract step times the gradient from the parameters.  A
+        deferring network (w1 above DEFER_ELEMS) records the w1 update as
+        factor pairs instead of writing w1, unless the batch is wider than
+        DEFER_RANK."""
         self.table = None
         for name, (w, b) in grads.heads.items():
             self.heads[name][0] -= step * w
             self.heads[name][1] -= step * b
         self.b1 -= step * grads.dh.sum(axis=0)
-        dx = self._apply_w1(grads.x, grads.dh, step)
+        if self.defers and len(grads.dh) <= DEFER_RANK:
+            dx = self._defer_w1(grads.x, grads.dh, step)
+        else:
+            dx = self._apply_w1(grads.x, grads.dh, step)
         if grads.mask is not None:
             dx *= grads.mask
         self._apply_emb(grads.ids, dx, step)
@@ -616,7 +665,7 @@ class QNetwork:
         rounded as in `w1 -= step * np.outer(x, dh)`; matmul gives the same
         bits there but is about five times slower.  More examples make one
         GEMM per block."""
-        w1, buf = self.w1, self._block
+        w1, buf = self.w1, self._block  # folds any pending factors first
         rows = len(buf)
         dx = np.empty((len(dh), len(w1)), dtype=w1.dtype)
         u = x.T
@@ -629,6 +678,43 @@ class QNetwork:
             t *= step
             block -= t
         return dx
+
+    def _defer_w1(self, x: np.ndarray, dh: np.ndarray, step: float) -> np.ndarray:
+        """Record w1 -= step * (x.T @ dh) as the factor pairs (step * x[b],
+        dh[b]), without writing w1 (Vincent et al. 2015 keep a large weight
+        matrix factored the same way); returns dx with dx[b] = w1 @ dh[b]
+        as w1 was before the update.  With w1 = W0 - U V^T, that is W0 @
+        dh[b] - U (V^T dh[b]).  The factors are folded into W0 when a batch
+        does not fit in the free pairs, so a step reads W0 once here and
+        once in forward, and writes it once every DEFER_RANK steps; an
+        in-place update reads and writes all of it at every step."""
+        if self._u is None:
+            self._u = np.empty((DEFER_RANK, self.input_dim), dtype=self.dtype)
+            self._v = np.empty((DEFER_RANK, self.hidden), dtype=self.dtype)
+        if self._pending + len(dh) > DEFER_RANK:
+            self._fold()
+        w0, r = self._w1, self._pending
+        dx = np.empty((len(dh), len(w0)), dtype=w0.dtype)
+        for d, out in zip(dh, dx):
+            np.matmul(w0, d, out=out)  # one gemv each: a GEMM would pack all of W0
+        if r:
+            dx -= (dh @ self._v[:r].T) @ self._u[:r]
+        e = r + len(dh)
+        np.multiply(x, step, out=self._u[r:e])
+        self._v[r:e] = dh
+        self._pending = e
+        return dx
+
+    def _fold(self) -> None:
+        """W0 -= U V^T for the pending factor pairs: one GEMM per block of
+        rows, made in the block buffer."""
+        r, buf = self._pending, self._block
+        u, v = self._u[:r], self._v[:r]
+        rows = len(buf)
+        for a in range(0, len(self._w1), rows):
+            block = self._w1[a : a + rows]
+            block -= np.matmul(u[:, a : a + rows].T, v, out=buf[: len(block)])
+        self._pending = 0
 
 
 def td_update(net, ids, head, action_index, target, alpha, drop_rng=None) -> float:

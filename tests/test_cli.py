@@ -238,7 +238,22 @@ class TestDecodeEvalStats:
         bad.write_text("# sent_id = 1\n" + line + "\n", encoding="utf-8")
         assert run("eval", "--pred", bad, "--gold", corpus_file) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: line 2: ")
+        assert err.count("\n") == 1 and err.startswith(f"error: {bad}:2: ")
+
+    def test_invalid_tree_names_its_file(self, tmp_path, corpus_file, capsys):
+        bad = tmp_path / "bad.conllu"
+        bad.write_text("# sent_id = 1\n1\ta\t_\tX\t_\t_\t2\t_\t_\t_\n"
+                       "2\tb\t_\tX\t_\t_\t1\t_\t_\t_\n", encoding="utf-8")
+        assert run("eval", "--pred", bad, "--gold", corpus_file) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: block at line 2: cycle through token 1\n"
+
+    def test_non_utf8_corpus_is_one_error_line(self, tmp_path, corpus_file, capsys):
+        bad = tmp_path / "latin1.conllu"
+        bad.write_bytes("1\tcaf\u00e9\t_\tX\t_\t_\t0\t_\t_\t_\n".encode("latin-1"))
+        assert run("eval", "--pred", bad, "--gold", corpus_file) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {bad}: not UTF-8 text (")
 
     def test_stats_without_backs_is_degenerate(self, corpus_file, trained, capsys):
         assert run("stats", "--model", trained, "--gold", corpus_file, "--json") == 0

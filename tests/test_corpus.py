@@ -97,6 +97,53 @@ class TestParseConllu:
         with pytest.raises(ValidationError, match=message):
             parse_conllu(text, single_root=False)
 
+    @pytest.mark.parametrize("heads,token", [
+        ((5, 3, 2, 0, 6, 5, 4), 1),   # token 1 leads into the 5-6 cycle
+        ((0, 3, 4, 2, 6, 5), 2),      # two cycles; 2-3-4 holds the first failing token
+        ((0, 1, 5, 3, 4, 7, 6, 6), 3),
+    ])
+    def test_cycle_names_the_first_token_that_cannot_reach_the_root(self, heads, token):
+        # The token each walk from token 1, 2, ... first fails on, as the
+        # per-token walk with a fresh set of visited nodes named it.
+        text = "\n".join(conllu_line(i, "w", "X", h) for i, h in enumerate(heads, start=1))
+        with pytest.raises(ValidationError, match=f"^block at line 1: cycle through token {token}$"):
+            parse_conllu(text, single_root=False)
+
+    def test_tree_check_matches_the_per_token_walk(self):
+        # Reference: walk every token to the root with a fresh set of
+        # visited nodes; the first token whose walk revisits a node fails.
+        def reference(heads):
+            for i in range(1, len(heads) + 1):
+                seen, cur = set(), i
+                while cur != 0:
+                    if cur in seen:
+                        return f"cycle through token {i}"
+                    seen.add(cur)
+                    cur = heads[cur - 1]
+            return None
+
+        rng = random.Random(7)
+        for _ in range(500):
+            n = rng.randint(1, 12)
+            heads = [rng.choice([h for h in range(n + 1) if h != i]) for i in range(1, n + 1)]
+            text = "\n".join(conllu_line(i, "w", "X", h) for i, h in enumerate(heads, start=1))
+            want = reference(heads)
+            if want is None:
+                (s,) = parse_conllu(text, single_root=False)
+                assert list(s.heads) == heads
+            else:
+                with pytest.raises(ValidationError, match=f"^block at line 1: {want}$"):
+                    parse_conllu(text, single_root=False)
+
+    def test_long_chain(self):
+        n = 2000
+        chain = [conllu_line(i, "w", "X", i + 1) for i in range(1, n)]
+        (s,) = parse_conllu("\n".join(chain + [conllu_line(n, "w", "X", 0)]))
+        assert s.heads == tuple(range(2, n + 1)) + (0,)
+        looped = chain + [conllu_line(n, "w", "X", n - 1)]
+        with pytest.raises(ValidationError, match="cycle through token 1$"):
+            parse_conllu("\n".join(looped), single_root=False)
+
     @pytest.mark.parametrize("column,value,message", [
         (0, "1.5x", "malformed ID"),
         (0, "1-x", "malformed ID"),

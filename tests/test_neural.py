@@ -9,6 +9,8 @@ import pytest
 from backparse.machine import BACK, ERASED, Machine, NOBACK, SHIFT, cell_is_value, tag_action
 from backparse.neural import (
     BLOCK_ELEMS,
+    DEFER_ELEMS,
+    DEFER_RANK,
     EMPTY_STACK,
     ERASED_SYM,
     FeatureExtractor,
@@ -498,6 +500,164 @@ class TestUpdate:
             supervised_update(net, batch, 0.1, drop_rng=np.random.default_rng(0))
         after = net.copy_params()
         assert all(np.array_equal(before[n], after[n], equal_nan=True) for n in before)
+
+
+def wide_net(seed=0, hidden=6144, dtype=np.float32):
+    """A tagparser network whose 688 x hidden w1 is, at the default hidden,
+    just above DEFER_ELEMS, so its updates are deferred."""
+    dims = {"word": 32, "pos": 16, "letter": 16, "action": 16, "flag": 16}
+    return QNetwork(
+        layout=slot_layout("tagparser"),
+        vocab_sizes={"word": 12, "pos": 10, "letter": 9, "action": 11, "flag": 9},
+        space_dims=dims,
+        hidden=hidden,
+        heads=heads_for_kind("tagparser", 3),
+        seed=seed,
+        dtype=dtype,
+    )
+
+
+def td_steps(net, steps, seed=0):
+    """`steps` TD updates with dropout on varied ids, heads and targets."""
+    rng, drop = random.Random(seed), np.random.default_rng(seed)
+    for i in range(steps):
+        head = ("parse", "tag", "back")[i % 3]
+        td_update(net, random_ids(net, rng), head, i % net.head_sizes[head],
+                  rng.uniform(-2.0, 2.0), alpha=0.02, drop_rng=drop)
+
+
+def dense_w1(net):
+    """The current w1 in float64, pending factor pairs subtracted from the
+    stored weights, without folding them."""
+    r = net._pending
+    return net._w1.astype(np.float64) - net._u[:r].T.astype(np.float64) @ net._v[:r].astype(np.float64)
+
+
+class TestDeferredUpdate:
+    def test_only_large_networks_defer(self):
+        # The paper-size tagparser net defers; every desk and test net up to
+        # 688 x 2048 updates w1 in place and never makes factor buffers.
+        assert 5724 * 3200 > DEFER_ELEMS >= 688 * 2048
+        assert wide_net().defers
+        net = wide_net(hidden=2048)
+        assert not net.defers
+        td_steps(net, DEFER_RANK + 2)
+        rng = random.Random(1)
+        supervised_update(net, [(random_ids(net, rng), "tag", 1) for _ in range(3)], 0.1)
+        assert net._u is None and net._v is None and net._pending == 0
+
+    def test_forward_dx_and_q_match_a_dense_reference(self):
+        net = wide_net(seed=1)
+        td_steps(net, DEFER_RANK // 2 + 3, seed=1)
+        assert net._pending == DEFER_RANK // 2 + 3
+        w1 = dense_w1(net)
+        ids = random_ids(net, random.Random(2))
+        q, cache = net.forward(ids, "parse")
+        x = cache[1].astype(np.float64)
+        h = x @ w1 + net.b1
+        w, b = net.heads["parse"]
+        np.testing.assert_allclose(cache[2], h, rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(q, np.maximum(h, 0) @ w + b, rtol=1e-4, atol=1e-6)
+        # dx, read through the embedding update it drives (no dropout, so
+        # no mask): each slot's row moves by -step * (w1 @ dh)[its columns].
+        grads = net.backward(cache, np.array([0.0, 1.0, 0.0, 0.0]))
+        dx = w1 @ grads.dh[0].astype(np.float64)
+        expected = {sp: t.astype(np.float64) for sp, t in net.emb.items()}
+        off = 0
+        for i, (sp, _) in enumerate(net.layout):
+            width = net.space_dims[sp]
+            expected[sp][ids[i]] -= 0.5 * dx[off : off + width]
+            off += width
+        net.apply_grads(grads, 0.5)
+        assert net._pending == DEFER_RANK // 2 + 4
+        for sp, table in net.emb.items():
+            np.testing.assert_allclose(table, expected[sp], rtol=1e-5, atol=1e-7, err_msg=sp)
+        np.testing.assert_allclose(net.w1, w1 - 0.5 * np.outer(cache[1], grads.dh[0]), rtol=1e-5, atol=1e-7)
+
+    def test_steps_match_the_in_place_path(self):
+        # Two folds and some pending pairs: 2 * DEFER_RANK + 6 steps, with
+        # dropout.  In float64: in float32, at this width, some hidden unit
+        # whose pre-activation is within rounding of zero is likely to be
+        # active on one path and not on the other, and then that step's
+        # gradients differ by much more than rounding.
+        steps = 2 * DEFER_RANK + 6
+        deferred, in_place = wide_net(seed=2, dtype=np.float64), wide_net(seed=2, dtype=np.float64)
+        in_place.defers = False
+        td_steps(deferred, steps, seed=3)
+        td_steps(in_place, steps, seed=3)
+        assert deferred._pending == 6 and in_place._u is None
+        for name in deferred.param_names():
+            np.testing.assert_allclose(deferred.get_param(name), in_place.get_param(name),
+                                       rtol=1e-10, atol=1e-12, err_msg=name)
+
+    def test_seeded_runs_are_byte_identical(self):
+        a, b = wide_net(seed=4), wide_net(seed=4)
+        td_steps(a, DEFER_RANK + 5, seed=5)
+        td_steps(b, DEFER_RANK + 5, seed=5)
+        for name in a.param_names():
+            assert a.get_param(name).tobytes() == b.get_param(name).tobytes(), name
+
+    @pytest.mark.parametrize("reader", ["get_param", "copy_params", "save", "precompute"])
+    def test_readers_see_folded_weights(self, tmp_path, reader):
+        corpus = [random_tagged_sentence(5, random.Random(4)) for _ in range(5)]
+        model = build_model("tagparser", corpus, small_config(hidden=6144, word_dim=32, feat_dim=16), k=1)
+        net = model.net
+        assert net.defers and net.table_fits
+        rng, drop = random.Random(6), np.random.default_rng(6)
+        sizes = {sp: len(t) for sp, t in net.emb.items()}
+        for i in range(5):
+            ids = np.array([rng.randrange(sizes[sp]) for sp, _ in net.layout])
+            td_update(net, ids, "parse", i % 4, 1.0, alpha=0.02, drop_rng=drop)
+        assert net._pending == 5
+        want = dense_w1(net)
+        if reader == "get_param":
+            w1 = net.get_param("w1")
+        elif reader == "copy_params":
+            w1 = net.copy_params()["w1"]
+        elif reader == "save":
+            model.save(tmp_path / "m.bpm")
+            w1 = Model.load(tmp_path / "m.bpm").net.w1
+            assert np.array_equal(w1, net.w1)
+        else:
+            net.precompute()
+            (sp, lo, hi), base = net._offsets[0], net._table_base[0]
+            rows = net.table[base : base + len(net.emb[sp])]
+            np.testing.assert_allclose(rows, net.emb[sp] @ want[lo:hi], rtol=1e-4, atol=1e-6)
+            w1 = net.w1
+        assert net._pending == 0
+        np.testing.assert_allclose(w1, want, rtol=1e-6, atol=1e-7)
+
+    def test_set_params_drops_pending_factors(self, monkeypatch):
+        net = wide_net(seed=7)
+        td_steps(net, 3, seed=7)
+        params = net.copy_params()
+        td_steps(net, 4, seed=8)
+        assert net._pending == 4
+        # Folding factors that are about to be overwritten would be a wasted
+        # pass over w1.
+        monkeypatch.setattr(net, "_fold", lambda: pytest.fail("set_params folded"))
+        net.set_params(params)
+        assert net._pending == 0 and net._u is None and net._v is None
+        for name in net.param_names():
+            assert np.array_equal(net.get_param(name), params[name]), name
+
+    def test_td_update_peak_memory(self):
+        # The first deferred update makes the factor buffers and the
+        # (DEFER_RANK + 1)-th folds them; neither may hold a w1-sized array.
+        net = wide_net(seed=8)
+        limit = net.w1.nbytes / 4
+        rng, drop = random.Random(8), np.random.default_rng(8)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for i in range(DEFER_RANK + 1):
+                tracemalloc.reset_peak()
+                td_update(net, random_ids(net, rng), "parse", i % 4, 1.0, alpha=0.02, drop_rng=drop)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert net._pending == 1
+        assert max(peaks) < limit, (max(peaks), limit)
 
 
 def emb_triples(net, ids, cache, grads):
