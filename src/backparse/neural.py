@@ -321,30 +321,17 @@ def q_target(reward: float, next_qs, gamma: float) -> float:
 # ----------------------------------------------------------------------
 # network
 
-# Elements of w1 in one block of the weight update: 512 KB of float32, so
-# that a block and the buffer its update is made in fit together in a 2 MB
-# L2 cache; 32 rows of a paper-size w1 (hidden 3200).
+# Elements of w1 in one block of a fold (see _fold): 512 KB of float32, so
+# that a block and the buffer its share of the fold is made in fit together
+# in a 2 MB L2 cache; 40 rows of a paper-size w1 (hidden 3200).  Each
+# element of a fold is one dot product over the pending pairs: with
+# OpenBLAS, blocks of 7 to 81 rows gave the bits of one GEMM over all of w1.
 BLOCK_ELEMS = 1 << 17
-# The row count of a block is a multiple of this, unless one block holds
-# all of w1.  BLAS gemv kernels take the rows of a matrix in groups, and a
-# block that starts inside a group rounds some of its rows' dot products
-# otherwise than one gemv over all of w1 does (81-row blocks did).  With
-# more than one BLAS thread, the whole gemv is split at rows that depend
-# on the thread count, and its bits with them.
-ROW_GROUP = 16
-# A w1 with more elements than this (16 MB of float32) defers its updates
-# as low-rank factors (see apply_grads); smaller ones are updated in place
-# at every step.  Deferring was faster at desk size too (0.026 against
-# 0.057 ms per update of a 688x64 w1), but it rounds otherwise, and the
-# golden training digests pin the desk-size bits: this gate keeps every
-# desk and test network on the in-place path.  Deferring at every size is
-# a later change that re-records those digests.
-DEFER_ELEMS = 1 << 22
-# The factor pairs a deferring network holds before it folds them into w1.
-# At paper size (one BLAS thread, a shared 2-core VM) a fold of 32 pairs
-# took 25 ms, 0.8 ms per step, and the buffers take 1.1 MB; 16 pairs cost
-# 1.1 ms per step, and 48 saved under 0.1 ms per step once the larger
-# corrections in forward and dx are counted.
+# The factor pairs a network holds before it folds them into w1.  At paper
+# size (one BLAS thread, a shared 2-core VM) a fold of 32 pairs took 25 ms,
+# 0.8 ms per step, and the buffers take 1.1 MB; 16 pairs cost 1.1 ms per
+# step, and 48 saved under 0.1 ms per step once the larger corrections in
+# forward and dx are counted.
 DEFER_RANK = 32
 
 
@@ -357,8 +344,7 @@ class Grads:
     order.  The w1 gradient is x.T @ dh and the b1 gradient the sum of dh's
     rows.  Example b adds dx[b, lo:hi] to row ids[b, slot] of each slot's
     table, where dx[b] = (w1 @ dh[b]) * mask[b]; apply_grads computes dx
-    from w1 as it was before the update (block by block while it updates
-    w1 in place, each block's rows from the block before its update)."""
+    from w1 as it was before the update, through any pending factors."""
 
     ids: np.ndarray
     x: np.ndarray
@@ -382,6 +368,16 @@ class Grads:
         mask = None if parts[0].mask is None else np.concatenate([g.mask for g in parts])
         return cls(np.concatenate([g.ids for g in parts]), np.concatenate([g.x for g in parts]),
                    np.concatenate([g.dh for g in parts]), mask, heads)
+
+
+def _table_views(flat: np.ndarray, shapes: dict) -> dict:
+    """Row-major views of consecutive stretches of flat, one per (rows,
+    width) shape, in order."""
+    views, off = {}, 0
+    for sp, (v, d) in shapes.items():
+        views[sp] = flat[off : off + v * d].reshape(v, d)
+        off += v * d
+    return views
 
 
 class QNetwork:
@@ -434,18 +430,11 @@ class QNetwork:
         # apply_grads updates all of them with one scatter-subtract.
         shapes = {sp: (vocab_sizes[sp], self.space_dims[sp]) for sp in SPACES if sp in vocab_sizes}
         self._emb_flat = np.empty(sum(v * d for v, d in shapes.values()), dtype=dtype)
-        self.emb = {}
-        row0 = {}
-        off = 0
-        for sp, (v, d) in shapes.items():
-            self.emb[sp] = self._emb_flat[off : off + v * d].reshape(v, d)
-            row0[sp] = off
-            off += v * d
-        # w1 is _w1 - U V^T, with the pending factor pairs of a deferring
-        # network as the rows of _u (step * x) and _v (dh); the buffers are
-        # made by its first update.
+        self.emb = _table_views(self._emb_flat, shapes)
+        row0 = dict(zip(shapes, itertools.accumulate((t.size for t in self.emb.values()), initial=0)))
+        # w1 is _w1 - U V^T, with the pending factor pairs as the rows of _u
+        # (step * x) and _v (dh); the buffers are made by the first update.
         self._w1 = np.empty((self.input_dim, hidden), dtype=dtype)
-        self.defers = self.input_dim * hidden > DEFER_ELEMS
         self._u = self._v = None
         self._pending = 0
         self.b1 = np.zeros(hidden, dtype=dtype)
@@ -454,10 +443,10 @@ class QNetwork:
             for name in sorted(heads)
         }
 
-        # apply_grads updates w1 through this buffer, one block of whole
-        # rows of at most about BLOCK_ELEMS elements: at desk scale it holds
-        # all of w1 and the update is one block.
-        rows = max(ROW_GROUP, BLOCK_ELEMS // hidden // ROW_GROUP * ROW_GROUP)
+        # _fold updates w1 through this buffer, one block of whole rows of
+        # at most about BLOCK_ELEMS elements: at desk scale it holds all of
+        # w1 and a fold is one block.
+        rows = max(1, BLOCK_ELEMS // hidden)
         self._block = np.empty((min(rows, self.input_dim), hidden), dtype=dtype)
 
         self._offsets = []
@@ -491,6 +480,19 @@ class QNetwork:
         self._table_rows = sum(sizes)
         self.table_fits = self._table_rows <= self.input_dim
         self.table = None
+
+    def __getstate__(self):
+        # A copy (copy.deepcopy, pickle) would make the embedding tables
+        # arrays of their own, which the scatter-subtract on _emb_flat no
+        # longer reaches; they are rebuilt as views of the copy's buffer.
+        # The precomputed table is dropped: it is rebuilt when needed.
+        state = dict(self.__dict__, table=None)
+        state["emb"] = {sp: t.shape for sp, t in self.emb.items()}
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.emb = _table_views(self._emb_flat, state["emb"])
 
     # -- parameter access ------------------------------------------------
 
@@ -623,19 +625,14 @@ class QNetwork:
         return Grads(ids[None, :], x[None, :], dh[None, :], mask, head_grads)
 
     def apply_grads(self, grads: Grads, step: float) -> None:
-        """Subtract step times the gradient from the parameters.  A
-        deferring network (w1 above DEFER_ELEMS) records the w1 update as
-        factor pairs instead of writing w1, unless the batch is wider than
-        DEFER_RANK."""
+        """Subtract step times the gradient from the parameters; the w1
+        update is recorded as factor pairs (see _defer_w1)."""
         self.table = None
         for name, (w, b) in grads.heads.items():
             self.heads[name][0] -= step * w
             self.heads[name][1] -= step * b
         self.b1 -= step * grads.dh.sum(axis=0)
-        if self.defers and len(grads.dh) <= DEFER_RANK:
-            dx = self._defer_w1(grads.x, grads.dh, step)
-        else:
-            dx = self._apply_w1(grads.x, grads.dh, step)
+        dx = self._defer_w1(grads.x, grads.dh, step)
         if grads.mask is not None:
             dx *= grads.mask
         self._apply_emb(grads.ids, dx, step)
@@ -652,33 +649,6 @@ class QNetwork:
         index = self._x_base + ids[:, self._x_slot] * self._x_width
         np.subtract.at(self._emb_flat, index.ravel(), (step * dx).ravel())
 
-    def _apply_w1(self, x: np.ndarray, dh: np.ndarray, step: float) -> np.ndarray:
-        """w1 -= step * (x.T @ dh), in place, one block of rows at a time
-        through the reused block buffer, so no input x hidden array is
-        made; returns dx with dx[b] = w1 @ dh[b] as w1 was before the
-        update.  Each block's rows of dx are computed just before the
-        block's update, while the block is in cache, so each step reads w1
-        from memory once; with one BLAS thread they equal one gemv over all
-        of w1 bit for bit, because a block's row count is a multiple of
-        ROW_GROUP.  With one example the update's block is the outer
-        product, computed as np.outer computes it, so each element is
-        rounded as in `w1 -= step * np.outer(x, dh)`; matmul gives the same
-        bits there but is about five times slower.  More examples make one
-        GEMM per block."""
-        w1, buf = self.w1, self._block  # folds any pending factors first
-        rows = len(buf)
-        dx = np.empty((len(dh), len(w1)), dtype=w1.dtype)
-        u = x.T
-        product = np.multiply if len(x) == 1 else np.matmul
-        for a in range(0, len(w1), rows):
-            block = w1[a : a + rows]
-            for d, out in zip(dh, dx):
-                np.matmul(block, d, out=out[a : a + rows])
-            t = product(u[a : a + rows], dh, out=buf[: len(block)])
-            t *= step
-            block -= t
-        return dx
-
     def _defer_w1(self, x: np.ndarray, dh: np.ndarray, step: float) -> np.ndarray:
         """Record w1 -= step * (x.T @ dh) as the factor pairs (step * x[b],
         dh[b]), without writing w1 (Vincent et al. 2015 keep a large weight
@@ -686,8 +656,9 @@ class QNetwork:
         as w1 was before the update.  With w1 = W0 - U V^T, that is W0 @
         dh[b] - U (V^T dh[b]).  The factors are folded into W0 when a batch
         does not fit in the free pairs, so a step reads W0 once here and
-        once in forward, and writes it once every DEFER_RANK steps; an
-        in-place update reads and writes all of it at every step."""
+        once in forward, and writes it once every DEFER_RANK steps.  A
+        batch wider than DEFER_RANK appends its pairs DEFER_RANK at a time
+        and folds between them."""
         if self._u is None:
             self._u = np.empty((DEFER_RANK, self.input_dim), dtype=self.dtype)
             self._v = np.empty((DEFER_RANK, self.hidden), dtype=self.dtype)
@@ -699,10 +670,14 @@ class QNetwork:
             np.matmul(w0, d, out=out)  # one gemv each: a GEMM would pack all of W0
         if r:
             dx -= (dh @ self._v[:r].T) @ self._u[:r]
-        e = r + len(dh)
-        np.multiply(x, step, out=self._u[r:e])
-        self._v[r:e] = dh
-        self._pending = e
+        for a in range(0, len(dh), DEFER_RANK):
+            if a:
+                self._fold()
+            xs, ds = x[a : a + DEFER_RANK], dh[a : a + DEFER_RANK]
+            r, e = self._pending, self._pending + len(ds)
+            np.multiply(xs, step, out=self._u[r:e])
+            self._v[r:e] = ds
+            self._pending = e
         return dx
 
     def _fold(self) -> None:

@@ -267,6 +267,44 @@ def dense_grads(net, grads) -> dict:
     return out
 
 
+def dense_w1(net):
+    """The current w1 in float64, pending factor pairs subtracted from the
+    stored weights, without folding them."""
+    w1, r = net._w1.astype(np.float64), net._pending
+    if r:
+        w1 -= net._u[:r].T.astype(np.float64) @ net._v[:r].astype(np.float64)
+    return w1
+
+
+def dense_params(net) -> dict:
+    """Every parameter in float64, by name, read without folding."""
+    params = {n: net.get_param(n).astype(np.float64) for n in net.param_names() if n != "w1"}
+    params["w1"] = dense_w1(net)
+    return params
+
+
+def sgd_reference(net, params, grads, step) -> dict:
+    """One plain SGD step in float64 from `params` (float64, by name):
+    each example subtracts step * outer(x, dh) from w1 and step * dx from
+    the embedding rows its ids name, with dx = (w1 @ dh) * mask from w1
+    as it was before the step; b1 and the heads take their summed
+    gradients."""
+    out = {n: p.copy() for n, p in params.items()}
+    x, dh = grads.x.astype(np.float64), grads.dh.astype(np.float64)
+    for b, ids in enumerate(grads.ids):
+        out["w1"] -= step * np.outer(x[b], dh[b])
+        dx = params["w1"] @ dh[b]
+        if grads.mask is not None:
+            dx *= grads.mask[b]
+        for i, (sp, lo, hi) in enumerate(net._offsets):
+            out[f"emb:{sp}"][ids[i]] -= step * dx[lo:hi]
+    out["b1"] -= step * dh.sum(axis=0)
+    for head, (w, b) in grads.heads.items():
+        out[f"head:{head}:w"] -= step * w
+        out[f"head:{head}:b"] -= step * b
+    return out
+
+
 # Header numbers that TrainConfig would refuse, as (field, value) pairs.
 BAD_HEADER_NUMBERS = [("gamma", True), ("gamma", 2.0), ("dropout", 1.0), ("dropout", -3),
                       ("k", False), ("k", 0.0)]

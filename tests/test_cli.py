@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from backparse.cli import main
 from backparse.corpus import parse_conllu, serialize
+from backparse.neural import Model
 from helpers import (
     BAD_HEADER_NUMBERS,
     alternation_corpus,
@@ -293,6 +298,56 @@ class TestDecodeEvalStats:
         import re
 
         assert not re.search(r"\bBACK\b", trace.read_text())  # NOBACK is fine
+
+
+GOLDEN = (Path(__file__).parent / "data" / "golden_v1.model").read_bytes()
+HEADER_END = GOLDEN.index(b"\n")
+# Up to three edits of the golden model file: ("flip", offset, xor mask),
+# half of the offsets in the JSON header, or ("cut", length).
+EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("flip"),
+                  st.one_of(st.integers(0, HEADER_END), st.integers(0, len(GOLDEN) - 1)),
+                  st.integers(1, 255)),
+        st.tuples(st.just("cut"), st.integers(0, len(GOLDEN) - 1)),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def damaged(edits) -> bytes:
+    data = bytearray(GOLDEN)
+    for op, at, *mask in edits:
+        if op == "cut":
+            del data[at:]
+        elif at < len(data):
+            data[at] ^= mask[0]
+    return bytes(data)
+
+
+class TestDamagedModelFile:
+    @settings(max_examples=200, deadline=None)
+    @given(EDITS)
+    def test_loads_or_is_one_error_line(self, tmp_path_factory, edits):
+        # Either the file loads and decodes, or load raises one ValueError
+        # that names the file and decode prints it as its one error line.
+        base = tmp_path_factory.getbasetemp()
+        path, corpus = base / "damaged.model", base / "damaged-input.conllu"
+        path.write_bytes(damaged(edits))
+        corpus.write_text(serialize(toy_grammar_corpus(2, seed=22)), encoding="utf-8")
+        try:
+            Model.load(path)
+            error = None
+        except ValueError as e:
+            error = str(e)
+            assert error.startswith(f"{path}: ") and "\n" not in error
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run("decode", "--model", path, "--input", corpus, "--output", base / "damaged.conllu")
+        if error is None:
+            assert code == 0
+        else:
+            assert code in (1, 2) and err.getvalue() == f"error: {error}\n"
 
 
 class TestSplit:

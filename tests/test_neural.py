@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import random
 import tracemalloc
 
@@ -9,7 +11,6 @@ import pytest
 from backparse.machine import BACK, ERASED, Machine, NOBACK, SHIFT, cell_is_value, tag_action
 from backparse.neural import (
     BLOCK_ELEMS,
-    DEFER_ELEMS,
     DEFER_RANK,
     EMPTY_STACK,
     ERASED_SYM,
@@ -40,11 +41,14 @@ from helpers import (
     BAD_HEADER_NUMBERS,
     corrupt_model,
     dense_grads,
+    dense_params,
+    dense_w1,
     emb_grad_triples,
     random_legal_walk,
     random_tagged_sentence,
     sent,
     set_header_field,
+    sgd_reference,
     simple_sent,
     small_config,
 )
@@ -407,32 +411,6 @@ class TestGradients:
 
 
 class TestUpdate:
-    def test_block_update_equals_dense_step_bit_for_bit(self):
-        # Wide enough that the update of w1 runs in four row blocks, the
-        # last one ragged.
-        net = tiny_net("tagger", hidden=BLOCK_ELEMS // 40, dtype=np.float32)
-        rows = len(net._block)
-        assert net.input_dim > 3 * rows and net.input_dim % rows
-        ids = random_ids(net, random.Random(1))
-        q, cache = net.forward(ids, "tag", drop_rng=np.random.default_rng(2))
-        _, dlogits = cross_entropy(q, 1)
-        grads = net.backward(cache, dlogits)
-        x, dh = cache[1], grads.dh[0]
-
-        step = 0.05
-        expected = net.copy_params()
-        expected["w1"] -= step * np.outer(x, dh).astype(np.float32)
-        expected["b1"] -= step * dh
-        for head, (w, b) in grads.heads.items():
-            expected[f"head:{head}:w"] -= step * w
-            expected[f"head:{head}:b"] -= step * b
-        for sp, row, vec in emb_grad_triples(net, grads):
-            expected[f"emb:{sp}"][row] -= step * vec
-        net.apply_grads(grads, step)
-        for name in net.param_names():
-            assert net.get_param(name).dtype == np.float32
-            assert np.array_equal(net.get_param(name), expected[name]), name
-
     def test_initial_weights_are_one_stream_of_draws(self):
         # w1 is drawn in four row blocks, the last one ragged; the weights
         # must be those of one call per tensor.
@@ -503,8 +481,8 @@ class TestUpdate:
 
 
 def wide_net(seed=0, hidden=6144, dtype=np.float32):
-    """A tagparser network whose 688 x hidden w1 is, at the default hidden,
-    just above DEFER_ELEMS, so its updates are deferred."""
+    """A tagparser network with a 688 x hidden w1; at the default hidden a
+    fold updates it in 33 blocks of rows, the last one ragged."""
     dims = {"word": 32, "pos": 16, "letter": 16, "action": 16, "flag": 16}
     return QNetwork(
         layout=slot_layout("tagparser"),
@@ -526,25 +504,30 @@ def td_steps(net, steps, seed=0):
                   rng.uniform(-2.0, 2.0), alpha=0.02, drop_rng=drop)
 
 
-def dense_w1(net):
-    """The current w1 in float64, pending factor pairs subtracted from the
-    stored weights, without folding them."""
-    r = net._pending
-    return net._w1.astype(np.float64) - net._u[:r].T.astype(np.float64) @ net._v[:r].astype(np.float64)
-
-
 class TestDeferredUpdate:
-    def test_only_large_networks_defer(self):
-        # The paper-size tagparser net defers; every desk and test net up to
-        # 688 x 2048 updates w1 in place and never makes factor buffers.
-        assert 5724 * 3200 > DEFER_ELEMS >= 688 * 2048
-        assert wide_net().defers
-        net = wide_net(hidden=2048)
-        assert not net.defers
-        td_steps(net, DEFER_RANK + 2)
-        rng = random.Random(1)
-        supervised_update(net, [(random_ids(net, rng), "tag", 1) for _ in range(3)], 0.1)
-        assert net._u is None and net._v is None and net._pending == 0
+    @pytest.mark.parametrize("batch", [1, 3, 70])
+    @pytest.mark.parametrize("hidden", [64, 6144])
+    def test_step_matches_a_dense_float64_sgd_step(self, hidden, batch):
+        # Desk size (688 x 64) and wide, with DEFER_RANK - 2 pairs pending:
+        # batch 1 appends its pair; batch 3 folds, then appends; batch 70
+        # folds, appends 32, folds, appends 32, folds and appends 6.
+        net = wide_net(seed=9, hidden=hidden, dtype=np.float64)
+        td_steps(net, DEFER_RANK - 2, seed=9)
+        assert net._pending == DEFER_RANK - 2
+        rng, drop = random.Random(10), np.random.default_rng(10)
+        parts = []
+        for i in range(batch):
+            head = ("parse", "tag", "back")[i % 3]
+            q, cache = net.forward(random_ids(net, rng), head, drop)
+            parts.append(net.backward(cache, cross_entropy(q, i % net.head_sizes[head])[1]))
+        grads, step = Grads.join(parts), 0.1 / batch
+        want = sgd_reference(net, dense_params(net), grads, step)
+        net.apply_grads(grads, step)
+        assert net._pending == {1: DEFER_RANK - 1, 3: 3, 70: 70 - 2 * DEFER_RANK}[batch]
+        got = dense_params(net)
+        for name in net.param_names():
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-10, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(net.w1, want["w1"], rtol=1e-10, atol=1e-12)  # folded
 
     def test_forward_dx_and_q_match_a_dense_reference(self):
         net = wide_net(seed=1)
@@ -574,22 +557,6 @@ class TestDeferredUpdate:
             np.testing.assert_allclose(table, expected[sp], rtol=1e-5, atol=1e-7, err_msg=sp)
         np.testing.assert_allclose(net.w1, w1 - 0.5 * np.outer(cache[1], grads.dh[0]), rtol=1e-5, atol=1e-7)
 
-    def test_steps_match_the_in_place_path(self):
-        # Two folds and some pending pairs: 2 * DEFER_RANK + 6 steps, with
-        # dropout.  In float64: in float32, at this width, some hidden unit
-        # whose pre-activation is within rounding of zero is likely to be
-        # active on one path and not on the other, and then that step's
-        # gradients differ by much more than rounding.
-        steps = 2 * DEFER_RANK + 6
-        deferred, in_place = wide_net(seed=2, dtype=np.float64), wide_net(seed=2, dtype=np.float64)
-        in_place.defers = False
-        td_steps(deferred, steps, seed=3)
-        td_steps(in_place, steps, seed=3)
-        assert deferred._pending == 6 and in_place._u is None
-        for name in deferred.param_names():
-            np.testing.assert_allclose(deferred.get_param(name), in_place.get_param(name),
-                                       rtol=1e-10, atol=1e-12, err_msg=name)
-
     def test_seeded_runs_are_byte_identical(self):
         a, b = wide_net(seed=4), wide_net(seed=4)
         td_steps(a, DEFER_RANK + 5, seed=5)
@@ -597,12 +564,32 @@ class TestDeferredUpdate:
         for name in a.param_names():
             assert a.get_param(name).tobytes() == b.get_param(name).tobytes(), name
 
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_a_copy_trains_like_a_built_twin(self, how):
+        # Copied with pairs pending, the copy's tables must stay views of
+        # its own flat buffer, so that its embedding updates reach the
+        # weights forward reads.
+        duplicate = copy.deepcopy if how == "deepcopy" else lambda net: pickle.loads(pickle.dumps(net))
+        net, twin = wide_net(seed=6, hidden=64), wide_net(seed=6, hidden=64)
+        td_steps(net, 5, seed=6)
+        td_steps(twin, 5, seed=6)
+        dup = duplicate(net)
+        assert dup._pending == 5
+        assert all(np.shares_memory(t, dup._emb_flat) for t in dup.emb.values())
+        td_steps(dup, DEFER_RANK + 5, seed=7)
+        td_steps(twin, DEFER_RANK + 5, seed=7)
+        for name in twin.param_names():
+            assert dup.get_param(name).tobytes() == twin.get_param(name).tobytes(), name
+        # The precomputed table is not copied; a copy builds its own.
+        twin.precompute()
+        assert twin.table is not None and duplicate(twin).table is None
+
     @pytest.mark.parametrize("reader", ["get_param", "copy_params", "save", "precompute"])
     def test_readers_see_folded_weights(self, tmp_path, reader):
         corpus = [random_tagged_sentence(5, random.Random(4)) for _ in range(5)]
         model = build_model("tagparser", corpus, small_config(hidden=6144, word_dim=32, feat_dim=16), k=1)
         net = model.net
-        assert net.defers and net.table_fits
+        assert net.table_fits
         rng, drop = random.Random(6), np.random.default_rng(6)
         sizes = {sp: len(t) for sp, t in net.emb.items()}
         for i in range(5):
@@ -737,12 +724,13 @@ class TestEmbeddingUpdate:
 
     @pytest.mark.parametrize("batch", [1, 3])
     def test_blocked_dx_is_one_gemv_over_w1_before_the_update(self, batch):
-        # Several row blocks, the last one ragged, with input dropout: dx
-        # computed block by block inside the update must be, bit for bit,
-        # the whole w1 @ dh taken before any row of w1 changes.
+        # A w1 that folds in several row blocks, the last one ragged, with
+        # input dropout: dx must be, bit for bit, the whole w1 @ dh taken
+        # before the step.  The folded w1 rounds otherwise than the summed
+        # outer products, so it is checked against float64.
         net = tiny_net("tagparser", hidden=BLOCK_ELEMS // 40, dtype=np.float32)
         rows = len(net._block)
-        assert rows % 16 == 0 and net.input_dim > 3 * rows and net.input_dim % rows
+        assert net.input_dim > 3 * rows and net.input_dim % rows
         rng, drop = random.Random(12), np.random.default_rng(12)
         grads, examples = [], []
         for head, gold in (("tag", 1), ("parse", 3), ("back", 0))[:batch]:
@@ -756,7 +744,7 @@ class TestEmbeddingUpdate:
 
         step = 0.5 * (1.0 / batch)
         expected = net.copy_params()
-        expected["w1"] -= step * (total.x.T @ total.dh)
+        w1 = expected.pop("w1").astype(np.float64) - step * (total.x.T.astype(np.float64) @ total.dh)
         expected["b1"] -= step * sum(g.dh[0] for g in grads)
         for head, (w, b) in total.heads.items():
             expected[f"head:{head}:w"] -= step * w
@@ -773,8 +761,9 @@ class TestEmbeddingUpdate:
         assert all(np.array_equal(v, w) for (_, _, v), (_, _, w) in zip(got, triples))
 
         net.apply_grads(total, step)
-        for name in net.param_names():
+        for name in expected:
             assert np.array_equal(net.get_param(name), expected[name]), name
+        np.testing.assert_allclose(net.w1, w1, rtol=1e-6, atol=1e-8)
 
     def test_tables_stay_views_of_one_buffer(self, tmp_path):
         corpus = [random_tagged_sentence(5, random.Random(4)) for _ in range(5)]
