@@ -9,6 +9,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import __version__
 from .corpus import (
     ConlluError,
@@ -55,7 +57,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, AssertionError) as e:
+    except (OSError, ValueError, AssertionError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
@@ -142,6 +144,18 @@ def _read_corpus(path, single_root=True):
         raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
+def _read_json(path):
+    """The JSON value in `path`; a file that is not UTF-8 JSON is one usage
+    error that names it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: not UTF-8 text ({e.reason})") from None
+    except json.JSONDecodeError as e:
+        raise UsageError(f"{path}:{e.lineno}: not JSON ({e.msg})") from None
+
+
 def _sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -167,28 +181,22 @@ def _write_manifest(path, command, config, corpora, outputs, inputs=None):
 def cmd_train(args) -> int:
     cfg_values = {}
     if args.from_manifest:
-        with open(args.from_manifest, encoding="utf-8") as f:
-            manifest = json.load(f)
+        manifest = _read_json(args.from_manifest)
         if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
                 and isinstance(manifest.get("inputs"), dict)):
             raise UsageError(f"{args.from_manifest} is not a train manifest")
         cfg_values.update(manifest["config"])
         cfg_values.update({k: v for k, v in manifest["inputs"].items() if v})
     if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            values = json.load(f)
+        values = _read_json(args.config)
         if not isinstance(values, dict):
             raise UsageError(f"config {args.config} is not a JSON object")
         cfg_values.update(values)
     for key in ("machine", "regime", "k", "epochs", "seed", "alpha", "gamma",
-                "hidden", "batch_size", "corpus", "dev"):
-        flag = getattr(args, key, None)
+                "hidden", "word_dim", "feat_dim", "batch_size", "corpus", "dev"):
+        flag = getattr(args, key)
         if flag is not None:
             cfg_values[key] = flag
-    if args.word_dim is not None:
-        cfg_values["word_dim"] = args.word_dim
-    if args.feat_dim is not None:
-        cfg_values["feat_dim"] = args.feat_dim
 
     corpus_path = cfg_values.pop("corpus", None)
     dev_path = cfg_values.pop("dev", None)
@@ -237,10 +245,13 @@ def cmd_train(args) -> int:
     dev = _read_corpus(dev_path) if dev_path else []
 
     log.info("training %s (%s) on %d sentences", kind, regime, len(train))
-    if regime == REGIME_SUP:
-        model, history = train_supervised(train, dev, kind, cfg)
-    else:
-        model, history = train_rl(train, dev, kind, cfg, regime)
+    # A step that diverges raises FloatingPointError, which main prints as
+    # one error line; numpy's overflow warnings before it would add lines.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if regime == REGIME_SUP:
+            model, history = train_supervised(train, dev, kind, cfg)
+        else:
+            model, history = train_rl(train, dev, kind, cfg, regime)
 
     model.save(args.out)
     if args.metrics:

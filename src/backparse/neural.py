@@ -337,37 +337,20 @@ DEFER_RANK = 32
 
 @dataclass
 class Grads:
-    """The gradient of the loss of B examples, every factor stored once:
-    ids (B, slots), the network inputs x (B, input), the hidden deltas dh
-    (B, hidden), the input dropout masks (B, input) or None without
-    dropout, and each head's dense (w, b) gradient, summed in example
-    order.  The w1 gradient is x.T @ dh and the b1 gradient the sum of dh's
-    rows.  Example b adds dx[b, lo:hi] to row ids[b, slot] of each slot's
-    table, where dx[b] = (w1 @ dh[b]) * mask[b]; apply_grads computes dx
-    from w1 as it was before the update, through any pending factors."""
+    """The gradient of the loss of B rows, every factor stored once: ids
+    (B, slots), the network inputs x (B, input), the hidden deltas dh (B,
+    hidden), the input dropout masks (B, input) or None without dropout,
+    and each head's dense (w, b) gradient, summed in row order.  The w1
+    gradient is x.T @ dh and the b1 gradient the sum of dh's rows.  Row b
+    adds dx[b, lo:hi] to row ids[b, slot] of each slot's table, where
+    dx[b] = (w1 @ dh[b]) * mask[b]; apply_grads computes dx from w1 as it
+    was before the update, through any pending factors."""
 
     ids: np.ndarray
     x: np.ndarray
     dh: np.ndarray
     mask: np.ndarray | None
     heads: dict
-
-    @classmethod
-    def join(cls, parts) -> "Grads":
-        """The sum of several examples' gradients: factors stacked example
-        after example, head gradients added in example order.  The examples
-        were taken all with dropout or all without."""
-        if len(parts) == 1:
-            return parts[0]
-        heads = {}
-        for g in parts:
-            for name, (w, b) in g.heads.items():
-                if name in heads:
-                    w, b = heads[name][0] + w, heads[name][1] + b
-                heads[name] = (w, b)
-        mask = None if parts[0].mask is None else np.concatenate([g.mask for g in parts])
-        return cls(np.concatenate([g.ids for g in parts]), np.concatenate([g.x for g in parts]),
-                   np.concatenate([g.dh for g in parts]), mask, heads)
 
 
 def _table_views(flat: np.ndarray, shapes: dict) -> dict:
@@ -455,21 +438,11 @@ class QNetwork:
             self._offsets.append((sp, off, off + self.space_dims[sp]))
             off += self.space_dims[sp]
         # For each element of x: its slot, the width of its slot's table and
-        # the flat offset of its place in that table's row 0.  Element j of
-        # an example with ids `ids` is then _emb_flat[_x_base[j] +
-        # ids[_x_slot[j]] * _x_width[j]].
+        # the flat offset of its place in that table's row 0 (see _x_index).
         widths = [hi - lo for _, lo, hi in self._offsets]
         self._x_slot = np.repeat(np.arange(len(self.layout)), widths)
         self._x_width = np.repeat(widths, widths)
         self._x_base = np.concatenate([row0[sp] + np.arange(hi - lo) for sp, lo, hi in self._offsets])
-        # Maximal runs of consecutive slots in one space, as (space, first
-        # slot, end slot): forward gathers each run with one take.
-        self._runs = []
-        start = 0
-        for sp, run in itertools.groupby(sp for sp, _ in self.layout):
-            end = start + len(list(run))
-            self._runs.append((sp, start, end))
-            start = end
 
         # The precomputed first layer (see precompute): one row per (slot,
         # row of the slot's table), slot after slot from _table_base.  It is
@@ -502,13 +475,6 @@ class QNetwork:
         if self._pending:
             self._fold()
         return self._w1
-
-    @w1.setter
-    def w1(self, value) -> None:
-        # `net.w1 += d` assigns back the array it changed in place.
-        self._pending = 0
-        if value is not self._w1:
-            np.copyto(self._w1, value)
 
     def param_names(self):
         names = [f"emb:{sp}" for sp in SPACES if sp in self.emb]
@@ -584,45 +550,60 @@ class QNetwork:
 
     # -- forward / backward ----------------------------------------------
 
-    def forward(self, ids: np.ndarray, head: str, drop_rng=None):
-        """Q-values of one head.  Dropout only fires when drop_rng is given,
-        so inference is a pure function of parameters and features."""
-        if len(ids) != len(self.layout):
-            raise ValueError(f"{len(ids)} feature ids for {len(self.layout)} slots")
-        if head not in self.heads:
-            raise ValueError(f"unknown head {head!r}")
-        emb = self.emb
-        x = np.concatenate(
-            [emb[sp].take(ids[lo:hi], axis=0).ravel() for sp, lo, hi in self._runs]
-        ).astype(self.dtype, copy=False)
+    def forward(self, ids: np.ndarray, heads, drop_rng=None):
+        """Q-values of B rows: ids (B, slots) and one head name per row.
+        Returns the B Q vectors, as a list, and one cache for backward.
+        Dropout only fires when drop_rng is given, so inference is a pure
+        function of parameters and features; each row draws its input
+        mask, then its hidden mask, in row order.  Each row's products are
+        one gemv each, as stacked matmuls: a GEMM over the rows packs all
+        of w1 first and rounds otherwise."""
+        if ids.ndim != 2 or ids.shape[1] != len(self.layout):
+            raise ValueError(f"feature ids of shape {ids.shape}, not (rows, {len(self.layout)})")
+        if len(heads) != len(ids):
+            raise ValueError(f"{len(heads)} heads for {len(ids)} rows")
+        x = self._emb_flat[self._x_index(ids)]
         p = self.dropout
         mask_in = mask_h = None
         if drop_rng is not None and p > 0:
-            mask_in = (drop_rng.random(self.input_dim) >= p).astype(self.dtype) / (1.0 - p)
+            # One draw for every row: the stream row by row, input then hidden.
+            keep = drop_rng.random((len(ids), self.input_dim + self.hidden)) >= p
+            keep = keep.astype(self.dtype) / (1.0 - p)
+            mask_in, mask_h = keep[:, : self.input_dim], keep[:, self.input_dim :]
             x = x * mask_in
-        h = x @ self._w1 + self.b1
+        rows = x[:, None]  # (B, 1, input): a matmul takes one gemv per row
+        h = np.matmul(rows, self._w1)[:, 0]
+        h += self.b1
         r = self._pending
         if r:
-            h -= (self._u[:r] @ x) @ self._v[:r]
-        if drop_rng is not None and p > 0:
-            mask_h = (drop_rng.random(self.hidden) >= p).astype(self.dtype) / (1.0 - p)
-            h = h * mask_h
-        act = np.maximum(h, 0)
-        w, b = self.heads[head]
-        q = act @ w + b
-        cache = (ids, x, h, act, head, mask_in, mask_h)
-        return q, cache
-
-    def backward(self, cache, dq: np.ndarray) -> Grads:
-        ids, x, h, act, head, mask_in, mask_h = cache
-        w, _ = self.heads[head]
-        dact = (w @ dq).astype(self.dtype)
-        dh = dact * (h > 0)
+            h -= np.matmul(np.matmul(rows, self._u[:r].T), self._v[:r])[:, 0]
         if mask_h is not None:
-            dh = dh * mask_h
-        mask = None if mask_in is None else mask_in[None, :]
-        head_grads = {head: (np.outer(act, dq).astype(self.dtype), dq.astype(self.dtype))}
-        return Grads(ids[None, :], x[None, :], dh[None, :], mask, head_grads)
+            h *= mask_h
+        act = np.maximum(h, 0)
+        # Heads differ in width, so their products are taken row by row.
+        try:
+            qs = [act[b] @ self.heads[head][0] + self.heads[head][1] for b, head in enumerate(heads)]
+        except KeyError as e:
+            raise ValueError(f"unknown head {e.args[0]!r}") from None
+        return qs, (ids, x, h, act, heads, mask_in, mask_h)
+
+    def backward(self, cache, dqs) -> Grads:
+        """The gradient of the B rows of a forward cache, given d(loss)/dQ
+        for each row."""
+        ids, x, h, act, heads, mask_in, mask_h = cache
+        dh = np.empty_like(h)
+        head_grads = {}
+        for b, head in enumerate(heads):
+            w, dq = self.heads[head][0], dqs[b]
+            dh[b] = w @ dq
+            gw, gb = np.outer(act[b], dq).astype(self.dtype), dq.astype(self.dtype)
+            if head in head_grads:  # summed in row order
+                gw, gb = head_grads[head][0] + gw, head_grads[head][1] + gb
+            head_grads[head] = (gw, gb)
+        dh *= h > 0
+        if mask_h is not None:
+            dh *= mask_h
+        return Grads(ids, x, dh, mask_in, head_grads)
 
     def apply_grads(self, grads: Grads, step: float) -> None:
         """Subtract step times the gradient from the parameters; the w1
@@ -646,8 +627,13 @@ class QNetwork:
         a fancy-index `-=` would keep only one of them.  (Raveled, the
         index takes ufunc.at's 1-D fast path: 1.4 against 4.9 us at desk
         scale.)"""
-        index = self._x_base + ids[:, self._x_slot] * self._x_width
-        np.subtract.at(self._emb_flat, index.ravel(), (step * dx).ravel())
+        np.subtract.at(self._emb_flat, self._x_index(ids).ravel(), (step * dx).ravel())
+
+    def _x_index(self, ids: np.ndarray) -> np.ndarray:
+        """The place in _emb_flat of each element of x, for ids (B,
+        slots): forward gathers x through it and _apply_emb scatters dx.
+        (take is a third of the time of a fancy index at desk scale.)"""
+        return self._x_base + ids.take(self._x_slot, axis=1) * self._x_width
 
     def _defer_w1(self, x: np.ndarray, dh: np.ndarray, step: float) -> np.ndarray:
         """Record w1 -= step * (x.T @ dh) as the factor pairs (step * x[b],
@@ -664,10 +650,8 @@ class QNetwork:
             self._v = np.empty((DEFER_RANK, self.hidden), dtype=self.dtype)
         if self._pending + len(dh) > DEFER_RANK:
             self._fold()
-        w0, r = self._w1, self._pending
-        dx = np.empty((len(dh), len(w0)), dtype=w0.dtype)
-        for d, out in zip(dh, dx):
-            np.matmul(w0, d, out=out)  # one gemv each: a GEMM would pack all of W0
+        r = self._pending
+        dx = np.matmul(self._w1, dh[:, :, None])[:, :, 0]  # one gemv per row, as in forward
         if r:
             dx -= (dh @ self._v[:r].T) @ self._u[:r]
         for a in range(0, len(dh), DEFER_RANK):
@@ -696,13 +680,13 @@ def td_update(net, ids, head, action_index, target, alpha, drop_rng=None) -> flo
     """One gradient step on the smooth-L1 temporal-difference loss."""
     if not np.isfinite(target):
         raise FloatingPointError(f"non-finite TD target {target}")
-    q, cache = net.forward(ids, head, drop_rng)
+    (q,), cache = net.forward(ids[None], (head,), drop_rng)
     loss, dpred = smooth_l1(q[action_index], target)
     if not (np.isfinite(loss) and np.isfinite(dpred)):
         raise FloatingPointError("non-finite TD gradient")
     dq = np.zeros_like(q)
     dq[action_index] = dpred
-    net.apply_grads(net.backward(cache, dq), alpha)
+    net.apply_grads(net.backward(cache, (dq,)), alpha)
     return loss
 
 
@@ -710,15 +694,16 @@ def supervised_update(net, examples, alpha, drop_rng=None) -> float:
     """One step on the mean cross-entropy gradient of the examples, given
     as (ids, head, gold index) triples and all taken at the same
     parameters, treating each head as a classifier; returns the mean loss."""
-    losses, parts = [], []
-    for ids, head, gold_index in examples:
-        q, cache = net.forward(ids, head, drop_rng)
-        loss, dlogits = cross_entropy(q, gold_index)
+    ids, heads, golds = zip(*examples)
+    qs, cache = net.forward(np.array(ids), heads, drop_rng)
+    losses, dqs = [], []
+    for q, gold in zip(qs, golds):
+        loss, dlogits = cross_entropy(q, gold)
         if not (np.isfinite(loss) and np.isfinite(dlogits).all()):
             raise FloatingPointError("non-finite supervised gradient")
         losses.append(loss)
-        parts.append(net.backward(cache, dlogits))
-    net.apply_grads(Grads.join(parts), alpha * (1.0 / len(parts)))
+        dqs.append(dlogits)
+    net.apply_grads(net.backward(cache, dqs), alpha * (1.0 / len(dqs)))
     return float(np.add.reduce(losses)) / len(losses)  # np.mean's bits, a third of its time
 
 
@@ -777,7 +762,7 @@ class Model:
         head = head_for_state(c.state)
         ids = self.extractor.extract(c, s, self.machine)
         net = self.net
-        q = net.forward(ids, head)[0] if net.table is None else net.q_from_table(ids, head)
+        q = net.forward(ids[None], (head,))[0][0] if net.table is None else net.q_from_table(ids, head)
         legal = self.machine.legal_actions(c)
         columns = self._columns[head]
         return legal, q[[columns[a] for a in legal]]

@@ -190,8 +190,8 @@ def _tiny_float64_net(kind, seed):
 
 
 def _check_grads(net, ids, head, loss_fn, dloss_fn):
-    q, cache = net.forward(ids, head)
-    analytic = dense_grads(net, net.backward(cache, dloss_fn(q)))
+    (q,), cache = net.forward(ids[None], [head])
+    analytic = dense_grads(net, net.backward(cache, [dloss_fn(q)]))
     eps = 1e-6
     worst = 0.0
     for name in net.param_names():
@@ -201,9 +201,9 @@ def _check_grads(net, ids, head, loss_fn, dloss_fn):
             idx = it.multi_index
             orig = param[idx]
             param[idx] = orig + eps
-            up = loss_fn(net.forward(ids, head)[0])
+            up = loss_fn(net.forward(ids[None], [head])[0][0])
             param[idx] = orig - eps
-            down = loss_fn(net.forward(ids, head)[0])
+            down = loss_fn(net.forward(ids[None], [head])[0][0])
             param[idx] = orig
             numeric = (up - down) / (2 * eps)
             a = analytic[name][idx]

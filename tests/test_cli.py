@@ -128,10 +128,13 @@ class TestTrain:
         {"schedule": {"eps_floor": "0.1"}},
         {"hidden": 0},
         {"dropout": 1.0},
+        b"{bad",
+        b"\xff\xfe",
     ])
     def test_malformed_config_is_one_usage_error_line(self, tmp_path, corpus_file, capsys, config):
+        # Bytes are written as they are: a file that is not JSON, or not UTF-8.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         code = run(
             "train", "--corpus", corpus_file, "--config", cfg, "--epochs", "1",
             "--out", tmp_path / "m.bpm",
@@ -140,6 +143,8 @@ class TestTrain:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert not (tmp_path / "m.bpm").exists()
+        if isinstance(config, bytes):
+            assert err.startswith(f"error: {cfg}:")
 
     def test_rerun_from_manifest_is_bit_identical(self, tmp_path, corpus_file):
         a, b = tmp_path / "a.bpm", tmp_path / "b.bpm"
@@ -147,14 +152,28 @@ class TestTrain:
         assert run("train", "--from-manifest", f"{a}.manifest.json", "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("manifest", [[], {"config": {}}, {"config": [], "inputs": {}}])
+    @pytest.mark.parametrize("manifest", [
+        [], {"config": {}}, {"config": [], "inputs": {}}, b"{bad", b"\xff\xfe",
+    ])
     def test_malformed_manifest_is_one_usage_error_line(self, tmp_path, capsys, manifest):
         path = tmp_path / "run.manifest.json"
-        path.write_text(json.dumps(manifest))
+        path.write_bytes(manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode())
         code = run("train", "--from-manifest", path, "--out", tmp_path / "m.bpm")
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ")
+        if isinstance(manifest, bytes):
+            assert err.startswith(f"error: {path}:")
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be one more stderr line
+    @pytest.mark.parametrize("regime", ["sup", "rl"])
+    def test_diverging_run_is_one_error_line(self, tmp_path, corpus_file, capsys, regime):
+        code = run("train", "--corpus", corpus_file, "--machine", "parser", "--regime", regime,
+                   "--epochs", "1", "--hidden", "16", "--alpha", "1e30", "--out", tmp_path / "m.bpm")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: non-finite")
+        assert not (tmp_path / "m.bpm").exists()
 
     def test_rl_backtrack_model_honours_k(self, tmp_path):
         corpus = tmp_path / "amb.conllu"

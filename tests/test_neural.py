@@ -15,7 +15,6 @@ from backparse.neural import (
     EMPTY_STACK,
     ERASED_SYM,
     FeatureExtractor,
-    Grads,
     HISTORY_LEN,
     Model,
     NO_DEP_GOV,
@@ -228,7 +227,7 @@ class TestQLegal:
                 if c.terminal:
                     continue
                 head = head_for_state(c.state)
-                q, _ = model.net.forward(model.extractor.extract(c, s, m), head)
+                (q,), _ = model.net.forward(model.extractor.extract(c, s, m)[None], [head])
                 legal, values = model.q_legal(c, s)
                 assert legal == m.legal_actions(c)
                 assert list(values) == [q[model.head_actions(head).index(a)] for a in legal]
@@ -277,7 +276,7 @@ class TestForward:
         rng = random.Random(2)
         for _ in range(20):
             ids = random_ids(net, rng)
-            _, (_, x, *_) = net.forward(ids, "back")
+            _, (_, x, *_) = net.forward(ids[None], ["back"])
             want = np.concatenate([net.emb[sp][ids[i]] for i, (sp, _) in enumerate(net.layout)])
             assert x.dtype == want.dtype and x.tobytes() == want.tobytes()
 
@@ -285,22 +284,69 @@ class TestForward:
         net = tiny_net()
         rng = random.Random(0)
         ids = random_ids(net, rng)
-        q1, _ = net.forward(ids, "tag")
-        q2, _ = net.forward(ids, "tag")
+        (q1,), _ = net.forward(ids[None], ["tag"])
+        (q2,), _ = net.forward(ids[None], ["tag"])
         assert np.array_equal(q1, q2)
 
     def test_back_head_width_two(self):
         net = tiny_net("tagparser")
         ids = random_ids(net, random.Random(1))
-        q, _ = net.forward(ids, "back")
+        (q,), _ = net.forward(ids[None], ["back"])
         assert q.shape == (2,)
+
+    @pytest.mark.parametrize("hidden", [64, 6144])
+    def test_rows_are_single_row_calls_bit_for_bit(self, hidden):
+        # Mixed heads, dropout and pending factor pairs.  The rows draw
+        # their masks as single-row calls do: input mask, then hidden mask,
+        # row by row.  Q, h (cache[2]) and every Grads field match the
+        # single-row calls; head gradients are summed in row order.
+        net = wide_net(seed=3, hidden=hidden)
+        td_steps(net, 5, seed=3)
+        assert net._pending == 5
+        rng = random.Random(3)
+        heads = ["tag", "parse", "back", "parse", "tag"]
+        ids = np.array([random_ids(net, rng) for _ in heads])
+        qs, cache = net.forward(ids, heads, np.random.default_rng(4))
+        grads = net.backward(cache, [cross_entropy(q, 1)[1] for q in qs])
+        drop, stream = np.random.default_rng(4), np.random.default_rng(4)
+        summed = {}
+        for b, head in enumerate(heads):
+            assert np.array_equal(cache[5][b] > 0, stream.random(net.input_dim) >= net.dropout)
+            assert np.array_equal(cache[6][b] > 0, stream.random(net.hidden) >= net.dropout)
+            (q,), one = net.forward(ids[b : b + 1], [head], drop)
+            g = net.backward(one, [cross_entropy(q, 1)[1]])
+            assert q.tobytes() == qs[b].tobytes()
+            for got, want in ((one[2], cache[2]), (g.ids, grads.ids), (g.x, grads.x), (g.dh, grads.dh),
+                              (g.mask, grads.mask)):
+                assert got.tobytes() == want[b : b + 1].tobytes()
+            (w, bias), = g.heads.values()
+            if head in summed:
+                w, bias = summed[head][0] + w, summed[head][1] + bias
+            summed[head] = (w, bias)
+        assert summed.keys() == grads.heads.keys()
+        for head, (w, bias) in summed.items():
+            assert w.tobytes() == grads.heads[head][0].tobytes()
+            assert bias.tobytes() == grads.heads[head][1].tobytes()
+
+    @pytest.mark.parametrize("case", ["one row as 1-D", "short rows", "too few heads", "unknown head"])
+    def test_malformed_rows_raise(self, case):
+        net = tiny_net("tagparser")
+        n = len(net.layout)
+        shape, heads, message = {
+            "one row as 1-D": ((n,), ["tag"], rf"shape \({n},\)"),
+            "short rows": ((2, n - 1), ["tag", "tag"], rf"shape \(2, {n - 1}\)"),
+            "too few heads": ((2, n), ["tag"], "1 heads for 2 rows"),
+            "unknown head": ((2, n), ["tag", "verb"], "unknown head 'verb'"),
+        }[case]
+        with pytest.raises(ValueError, match=message):
+            net.forward(np.zeros(shape, dtype=np.int64), heads)
 
     def test_zeroed_head_gives_zero_q(self):
         net = tiny_net()
         net.heads["tag"][0][...] = 0.0
         net.heads["tag"][1][...] = 0.0
         ids = random_ids(net, random.Random(2))
-        q, _ = net.forward(ids, "tag")
+        (q,), _ = net.forward(ids[None], ["tag"])
         assert np.allclose(q, 0.0)
 
 
@@ -318,9 +364,9 @@ def numeric_grad(net, ids, head, loss_fn, eps=1e-6):
             idx = it.multi_index
             orig = param[idx]
             param[idx] = orig + eps
-            up = loss_fn(net.forward(ids, head)[0])
+            up = loss_fn(net.forward(ids[None], [head])[0][0])
             param[idx] = orig - eps
-            down = loss_fn(net.forward(ids, head)[0])
+            down = loss_fn(net.forward(ids[None], [head])[0][0])
             param[idx] = orig
             g[idx] = (up - down) / (2 * eps)
             it.iternext()
@@ -337,11 +383,11 @@ class TestGradients:
         target = rng.uniform(-2, 2)
         action = rng.randrange(4)
 
-        q, cache = net.forward(ids, "parse")
+        (q,), cache = net.forward(ids[None], ["parse"])
         _, dpred = smooth_l1(q[action], target)
         dq = np.zeros_like(q)
         dq[action] = dpred
-        analytic = dense_grads(net, net.backward(cache, dq))
+        analytic = dense_grads(net, net.backward(cache, [dq]))
 
         def loss_fn(qv):
             return smooth_l1(qv[action], target)[0]
@@ -361,9 +407,9 @@ class TestGradients:
         ids = random_ids(net, rng)
         gold = rng.randrange(3)
 
-        q, cache = net.forward(ids, "tag")
+        (q,), cache = net.forward(ids[None], ["tag"])
         _, dlogits = cross_entropy(q, gold)
-        analytic = dense_grads(net, net.backward(cache, dlogits))
+        analytic = dense_grads(net, net.backward(cache, [dlogits]))
 
         def loss_fn(qv):
             return cross_entropy(qv, gold)[0]
@@ -379,7 +425,7 @@ class TestGradients:
     def test_td_step_at_target_changes_nothing(self):
         net = tiny_net()
         ids = random_ids(net, random.Random(3))
-        q, _ = net.forward(ids, "tag")
+        (q,), _ = net.forward(ids[None], ["tag"])
         before = net.copy_params()
         loss = td_update(net, ids, "tag", 1, float(q[1]), alpha=0.1)
         assert loss == 0.0
@@ -393,10 +439,10 @@ class TestGradients:
             net = tiny_net(seed=seed)
             ids = random_ids(net, rng)
             target = rng.uniform(-3, 3)
-            q, _ = net.forward(ids, "tag")
+            (q,), _ = net.forward(ids[None], ["tag"])
             before = smooth_l1(q[0], target)[0]
             td_update(net, ids, "tag", 0, target, alpha=1e-3)
-            q2, _ = net.forward(ids, "tag")
+            (q2,), _ = net.forward(ids[None], ["tag"])
             after = smooth_l1(q2[0], target)[0]
             if before > 1e-12 and after >= before:
                 failures += 1
@@ -456,9 +502,9 @@ class TestUpdate:
         total = {name: np.zeros_like(p) for name, p in before.items()}
         drop = np.random.default_rng(11)
         for ids, head, gold in batch:
-            q, cache = net.forward(ids, head, drop)
+            (q,), cache = net.forward(ids[None], [head], drop)
             _, dlogits = cross_entropy(q, gold)
-            for name, g in dense_grads(net, net.backward(cache, dlogits)).items():
+            for name, g in dense_grads(net, net.backward(cache, [dlogits])).items():
                 total[name] += g
         alpha = 0.1
         supervised_update(net, batch, alpha, drop_rng=np.random.default_rng(11))
@@ -515,12 +561,10 @@ class TestDeferredUpdate:
         td_steps(net, DEFER_RANK - 2, seed=9)
         assert net._pending == DEFER_RANK - 2
         rng, drop = random.Random(10), np.random.default_rng(10)
-        parts = []
-        for i in range(batch):
-            head = ("parse", "tag", "back")[i % 3]
-            q, cache = net.forward(random_ids(net, rng), head, drop)
-            parts.append(net.backward(cache, cross_entropy(q, i % net.head_sizes[head])[1]))
-        grads, step = Grads.join(parts), 0.1 / batch
+        heads = [("parse", "tag", "back")[i % 3] for i in range(batch)]
+        qs, cache = net.forward(np.array([random_ids(net, rng) for _ in heads]), heads, drop)
+        dqs = [cross_entropy(q, i % net.head_sizes[head])[1] for i, (q, head) in enumerate(zip(qs, heads))]
+        grads, step = net.backward(cache, dqs), 0.1 / batch
         want = sgd_reference(net, dense_params(net), grads, step)
         net.apply_grads(grads, step)
         assert net._pending == {1: DEFER_RANK - 1, 3: 3, 70: 70 - 2 * DEFER_RANK}[batch]
@@ -535,15 +579,15 @@ class TestDeferredUpdate:
         assert net._pending == DEFER_RANK // 2 + 3
         w1 = dense_w1(net)
         ids = random_ids(net, random.Random(2))
-        q, cache = net.forward(ids, "parse")
-        x = cache[1].astype(np.float64)
+        (q,), cache = net.forward(ids[None], ["parse"])
+        x = cache[1][0].astype(np.float64)
         h = x @ w1 + net.b1
         w, b = net.heads["parse"]
-        np.testing.assert_allclose(cache[2], h, rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(cache[2][0], h, rtol=1e-4, atol=1e-6)
         np.testing.assert_allclose(q, np.maximum(h, 0) @ w + b, rtol=1e-4, atol=1e-6)
         # dx, read through the embedding update it drives (no dropout, so
         # no mask): each slot's row moves by -step * (w1 @ dh)[its columns].
-        grads = net.backward(cache, np.array([0.0, 1.0, 0.0, 0.0]))
+        grads = net.backward(cache, [np.array([0.0, 1.0, 0.0, 0.0])])
         dx = w1 @ grads.dh[0].astype(np.float64)
         expected = {sp: t.astype(np.float64) for sp, t in net.emb.items()}
         off = 0
@@ -555,7 +599,7 @@ class TestDeferredUpdate:
         assert net._pending == DEFER_RANK // 2 + 4
         for sp, table in net.emb.items():
             np.testing.assert_allclose(table, expected[sp], rtol=1e-5, atol=1e-7, err_msg=sp)
-        np.testing.assert_allclose(net.w1, w1 - 0.5 * np.outer(cache[1], grads.dh[0]), rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(net.w1, w1 - 0.5 * np.outer(x, grads.dh[0]), rtol=1e-5, atol=1e-7)
 
     def test_seeded_runs_are_byte_identical(self):
         a, b = wide_net(seed=4), wide_net(seed=4)
@@ -647,12 +691,12 @@ class TestDeferredUpdate:
         assert max(peaks) < limit, (max(peaks), limit)
 
 
-def emb_triples(net, ids, cache, grads):
-    """The (space, row, vector) triples of one example, one per slot, with
-    dx recomputed from the cache as w1 @ dh times the input dropout mask."""
-    dx = (net.w1 @ grads.dh[0]).astype(net.dtype)
-    if cache[5] is not None:
-        dx = dx * cache[5]
+def emb_triples(net, ids, dh, mask):
+    """The (space, row, vector) triples of one row, one per slot, with dx
+    recomputed as w1 @ dh times the row's input dropout mask."""
+    dx = (net.w1 @ dh).astype(net.dtype)
+    if mask is not None:
+        dx = dx * mask
     triples, off = [], 0
     for i, (sp, _) in enumerate(net.layout):
         width = net.space_dims[sp]
@@ -679,13 +723,11 @@ class TestEmbeddingUpdate:
     def test_scatter_update_equals_per_row_loop_bit_for_bit(self, batch):
         net = tiny_net("tagparser", dtype=np.float32)
         rng, drop = random.Random(8), np.random.default_rng(8)
-        examples = [(repeating_ids(net, rng), head, gold)
-                    for head, gold in (("tag", 1), ("parse", 3), ("tag", 0))[:batch]]
-        grads = []
-        for ids, head, gold in examples:
-            q, cache = net.forward(ids, head, drop)
-            grads.append(net.backward(cache, cross_entropy(q, gold)[1]))
-        rows = [(sp, row) for g in grads for sp, row, _ in emb_grad_triples(net, g)]
+        heads, golds = zip(*(("tag", 1), ("parse", 3), ("tag", 0))[:batch])
+        qs, cache = net.forward(np.array([repeating_ids(net, rng) for _ in heads]), heads, drop)
+        grads = net.backward(cache, [cross_entropy(q, gold)[1] for q, gold in zip(qs, golds)])
+        triples = list(emb_grad_triples(net, grads))
+        rows = [(sp, row) for sp, row, _ in triples]
         per_example = len(net.layout)
         assert len(set(rows[:per_example])) < per_example
         if batch > 1:
@@ -693,10 +735,9 @@ class TestEmbeddingUpdate:
 
         step = 0.5 / batch
         expected = net.copy_params()
-        for g in grads:
-            for sp, row, vec in emb_grad_triples(net, g):
-                expected[f"emb:{sp}"][row] -= step * vec
-        net.apply_grads(Grads.join(grads), 0.5 * (1.0 / batch))
+        for sp, row, vec in triples:
+            expected[f"emb:{sp}"][row] -= step * vec
+        net.apply_grads(grads, 0.5 * (1.0 / batch))
         for sp in net.emb:
             assert net.emb[sp].dtype == np.float32
             assert np.array_equal(net.emb[sp], expected[f"emb:{sp}"]), sp
@@ -704,23 +745,16 @@ class TestEmbeddingUpdate:
     def test_emb_grad_yields_the_per_slot_triples(self):
         net = tiny_net("tagparser", dtype=np.float32)
         rng, drop = random.Random(7), np.random.default_rng(7)
-        grads, expected = [], []
-        for head, gold in (("tag", 1), ("parse", 3), ("back", 0)):
-            ids = random_ids(net, rng)
-            q, cache = net.forward(ids, head, drop)
-            g = net.backward(cache, cross_entropy(q, gold)[1])
-            grads.append(g)
-            expected.append(emb_triples(net, ids, cache, g))
-
-        def same(got, want):
-            assert len(got) == len(want)
-            for (sp, row, vec), (sp2, row2, vec2) in zip(got, want):
-                assert sp == sp2 and type(row) is int and row == row2
-                assert vec.dtype == vec2.dtype and np.array_equal(vec, vec2)
-
-        for g, want in zip(grads, expected):
-            same(list(emb_grad_triples(net, g)), want)
-        same(list(emb_grad_triples(net, Grads.join(grads))), [t for want in expected for t in want])
+        heads, golds = ("tag", "parse", "back"), (1, 3, 0)
+        ids = np.array([random_ids(net, rng) for _ in heads])
+        qs, cache = net.forward(ids, heads, drop)
+        g = net.backward(cache, [cross_entropy(q, gold)[1] for q, gold in zip(qs, golds)])
+        want = [t for b in range(len(heads)) for t in emb_triples(net, ids[b], g.dh[b], cache[5][b])]
+        got = list(emb_grad_triples(net, g))
+        assert len(got) == len(want)
+        for (sp, row, vec), (sp2, row2, vec2) in zip(got, want):
+            assert sp == sp2 and type(row) is int and row == row2
+            assert vec.dtype == vec2.dtype and np.array_equal(vec, vec2)
 
     @pytest.mark.parametrize("batch", [1, 3])
     def test_blocked_dx_is_one_gemv_over_w1_before_the_update(self, batch):
@@ -732,20 +766,17 @@ class TestEmbeddingUpdate:
         rows = len(net._block)
         assert net.input_dim > 3 * rows and net.input_dim % rows
         rng, drop = random.Random(12), np.random.default_rng(12)
-        grads, examples = [], []
-        for head, gold in (("tag", 1), ("parse", 3), ("back", 0))[:batch]:
-            ids = repeating_ids(net, rng)
-            q, cache = net.forward(ids, head, drop)
-            g = net.backward(cache, cross_entropy(q, gold)[1])
-            assert cache[5] is not None
-            grads.append(g)
-            examples.append((ids, (net.w1 @ g.dh[0]) * cache[5]))
-        total = Grads.join(grads)
+        heads, golds = zip(*(("tag", 1), ("parse", 3), ("back", 0))[:batch])
+        ids = np.array([repeating_ids(net, rng) for _ in heads])
+        qs, cache = net.forward(ids, heads, drop)
+        total = net.backward(cache, [cross_entropy(q, gold)[1] for q, gold in zip(qs, golds)])
+        assert cache[5] is not None
+        examples = [(ids[b], (net.w1 @ total.dh[b]) * cache[5][b]) for b in range(batch)]
 
         step = 0.5 * (1.0 / batch)
         expected = net.copy_params()
         w1 = expected.pop("w1").astype(np.float64) - step * (total.x.T.astype(np.float64) @ total.dh)
-        expected["b1"] -= step * sum(g.dh[0] for g in grads)
+        expected["b1"] -= step * sum(total.dh)
         for head, (w, b) in total.heads.items():
             expected[f"head:{head}:w"] -= step * w
             expected[f"head:{head}:b"] -= step * b
@@ -787,7 +818,7 @@ class TestEmbeddingUpdate:
         loaded = Model.load(tmp_path / "m.bpm")
         assert one_buffer(loaded.net)
         for head in net.heads:
-            assert np.array_equal(net.forward(ids, head)[0], loaded.net.forward(ids, head)[0])
+            assert np.array_equal(net.forward(ids[None], [head])[0][0], loaded.net.forward(ids[None], [head])[0][0])
 
 
 class TestSerialization:

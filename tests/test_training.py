@@ -475,7 +475,7 @@ class TestPrecomputedTable:
                 if c.terminal:
                     continue
                 head = head_for_state(c.state)
-                q, _ = forward(model.extractor.extract(c, s, model.machine), head)
+                (q,), _ = forward(model.extractor.extract(c, s, model.machine)[None], [head])
                 legal, values = model.q_legal(c, s)
                 want = [q[model.action_index(head, a)] for a in legal]
                 np.testing.assert_allclose(values, want, rtol=0, atol=1e-5)
@@ -597,7 +597,7 @@ class TestBestCheckpoint:
             heads=heads_for_kind("tagparser", 3),
         )
         best = net.copy_params()
-        net.w1 += 1.0
+        net.w1[...] += 1.0
         tracemalloc.start()
         try:
             again = net.copy_params(best)
