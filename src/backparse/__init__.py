@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from .corpus import (
     ConlluError,
     CorpusSplit,
+    ProportionsError,
     Sentence,
     Token,
     ValidationError,

@@ -14,6 +14,7 @@ import numpy as np
 from . import __version__
 from .corpus import (
     ConlluError,
+    ProportionsError,
     ValidationError,
     kfold_split,
     parse_conllu,
@@ -311,6 +312,8 @@ def cmd_decode(args) -> int:
 
 def cmd_eval(args) -> int:
     gold = _read_corpus(args.gold)
+    if not gold:
+        raise ValueError(f"{args.gold}: holds no sentences")
     # Decoding leaves every word still headless at the end on the root, so
     # predictions may hold several root-attached words; gold trees may not.
     pred = _read_corpus(args.pred, single_root=False)
@@ -372,8 +375,11 @@ def cmd_split(args) -> int:
     try:
         proportions = tuple(float(x) for x in args.proportions.split(","))
     except ValueError:
-        raise UsageError(f"bad proportions {args.proportions!r}") from None
-    splits = kfold_split(corpus, folds=args.folds, seed=args.seed, proportions=proportions)
+        raise UsageError(f"--proportions {args.proportions!r}: not comma-separated numbers") from None
+    try:
+        splits = kfold_split(corpus, folds=args.folds, seed=args.seed, proportions=proportions)
+    except ProportionsError as e:
+        raise UsageError(f"--proportions {args.proportions!r}: {e}") from None
     save_split_manifest(args.out, splits)
     print(json.dumps({"folds": len(splits), "sentences": len(corpus)}))
     return 0

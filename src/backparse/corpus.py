@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 import random
 from dataclasses import dataclass, replace
 
@@ -19,6 +20,10 @@ class ConlluError(ValueError):
 
 class ValidationError(ValueError):
     """Structurally invalid sentence (bad ids, bad heads, not a tree)."""
+
+
+class ProportionsError(ValueError):
+    """Split proportions that do not describe a train/dev/test split."""
 
 
 @dataclass(frozen=True)
@@ -126,10 +131,14 @@ def parse_conllu(text: str, single_root: bool = True) -> list[Sentence]:
             raise ConlluError(line_no, f"non-integer HEAD {fields[6]!r}")
         if not fields[1]:
             raise ConlluError(line_no, "empty FORM")
+        try:
+            token_id, head = int(fields[0]), int(fields[6])
+        except ValueError:  # more digits than int() converts
+            raise ConlluError(line_no, "ID or HEAD has too many digits") from None
         upos = fields[3] if fields[3] != "_" else UNK_TAG
         if not pending:
             pending_line = line_no
-        pending.append(Token(id=int(fields[0]), form=fields[1], upos=upos, head=int(fields[6])))
+        pending.append(Token(id=token_id, form=fields[1], upos=upos, head=head))
     flush()
     return sentences
 
@@ -209,20 +218,31 @@ def kfold_split(corpus, folds: int, seed: int, proportions=(0.8, 0.1, 0.1)):
 
     Test sets are the `folds` contiguous slices of the shuffled order, so
     their union covers the corpus exactly once.  The dev set size follows
-    the dev proportion; train takes the remainder.
+    the dev proportion; train takes the remainder.  Proportions that are
+    not three numbers in [0, 1] summing to 1, or whose dev set leaves a
+    fold no training sentence, raise ProportionsError.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
     if len(corpus) < folds:
         raise ValueError(f"corpus of {len(corpus)} sentences is smaller than {folds} folds")
+    if len(proportions) != 3:
+        raise ProportionsError(f"need three proportions (train, dev, test), got {len(proportions)}")
+    if not all(isinstance(p, numbers.Real) and 0.0 <= p <= 1.0 for p in proportions):
+        raise ProportionsError("each proportion must be a number in [0, 1]")
     if abs(sum(proportions) - 1.0) > 1e-9:
-        raise ValueError("proportions must sum to 1")
+        raise ProportionsError("proportions must sum to 1")
 
     order = list(range(len(corpus)))
     random.Random(seed).shuffle(order)
     n = len(order)
     bounds = [round(i * n / folds) for i in range(folds + 1)]
     dev_size = round(n * proportions[1])
+    rest = n - max(b - a for a, b in zip(bounds, bounds[1:]))  # the fewest sentences outside a test fold
+    if dev_size >= rest:
+        raise ProportionsError(
+            f"a dev set of {dev_size} leaves no training sentence beside a test fold of {n - rest}"
+        )
 
     splits = []
     for fold in range(folds):

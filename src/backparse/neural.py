@@ -333,6 +333,14 @@ BLOCK_ELEMS = 1 << 17
 # step, and 48 saved under 0.1 ms per step once the larger corrections in
 # forward and dx are counted.
 DEFER_RANK = 32
+# The precomputed first layer is built when it takes no more memory than
+# w1 or this budget, whichever is larger (see QNetwork.table_fits).  At
+# hidden 64 a 16 MiB table holds about 13k words (65k rows); on a 2-core
+# Xeon VM at one BLAS thread it took 20 ms to build, and each decision read
+# through it took 14 us less than a forward pass, so it pays for itself
+# after about 1.5k decisions (60 sentences of 8 words).  A table of the
+# paper-size network with a 20k-word vocabulary (1.29 GB) stays refused.
+TABLE_BYTES = 16 << 20
 
 
 @dataclass
@@ -446,12 +454,13 @@ class QNetwork:
 
         # The precomputed first layer (see precompute): one row per (slot,
         # row of the slot's table), slot after slot from _table_base.  It is
-        # built only when it has no more rows than w1, so it never holds
-        # more than w1 does, whatever the hidden size.
+        # built only when it takes no more memory than w1 or TABLE_BYTES,
+        # whichever is larger.
         sizes = [len(self.emb[sp]) for sp, _ in self.layout]
         self._table_base = np.cumsum([0] + sizes[:-1])
         self._table_rows = sum(sizes)
-        self.table_fits = self._table_rows <= self.input_dim
+        row_bytes = hidden * np.dtype(dtype).itemsize
+        self.table_fits = self._table_rows * row_bytes <= max(self.input_dim * row_bytes, TABLE_BYTES)
         self.table = None
 
     def __getstate__(self):
@@ -516,8 +525,8 @@ class QNetwork:
     # -- precomputed first layer ---------------------------------------------
 
     def precompute(self) -> None:
-        """Build the precomputed first layer unless it exists or would have
-        more rows than w1 (Chen & Manning 2014).  Slot i's block of x @ w1
+        """Build the precomputed first layer unless it exists or would not
+        fit (Chen & Manning 2014; see table_fits).  Slot i's block of x @ w1
         is emb[sp][ids[i]] @ w1[lo:hi], so the table holds that product for
         every row of the slot's table, and with dropout off the hidden
         pre-activation is b1 plus the sum of one table row per slot.  The
@@ -735,12 +744,16 @@ class Model:
     gamma: float
     # Per head, the Q column of each of its actions.
     _columns: dict = field(init=False, repr=False, compare=False)
+    # Per (head, id of a legal-action tuple): the tuple and the Q columns of
+    # its actions (see q_legal).
+    _legal_columns: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._columns = {
             head: {a: i for i, a in enumerate(self.head_actions(head))}
             for head in (HEAD_TAG, HEAD_PARSE, HEAD_BACK)
         }
+        self._legal_columns = {}
 
     def head_actions(self, head: str) -> tuple[Action, ...]:
         if head == HEAD_TAG:
@@ -764,8 +777,16 @@ class Model:
         net = self.net
         q = net.forward(ids[None], (head,))[0][0] if net.table is None else net.q_from_table(ids, head)
         legal = self.machine.legal_actions(c)
-        columns = self._columns[head]
-        return legal, q[[columns[a] for a in legal]]
+        # legal_actions returns one of a few tuples (module constants or the
+        # machine's tag_actions), so each tuple's columns are found once and
+        # kept under its id: hashing its actions on every call cost more.
+        # The entry holds the tuple, so no other tuple can take its id.
+        key = (head, id(legal))
+        hit = self._legal_columns.get(key)
+        if hit is None:
+            columns = self._columns[head]
+            hit = self._legal_columns[key] = (legal, np.array([columns[a] for a in legal]))
+        return legal, q.take(hit[1])
 
     def greedy_action(self, c: Configuration, s: Sentence) -> Action:
         legal, values = self.q_legal(c, s)

@@ -6,6 +6,7 @@ import json
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from backparse.corpus import Sentence, Token, is_projective
 from backparse.machine import Machine, cell_is_value
@@ -316,3 +317,80 @@ def set_header_field(path, key: str, value) -> None:
     meta = json.loads(header)
     meta[key] = value
     path.write_bytes(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n" + blob)
+
+
+# -- fuzzed inputs (hypothesis strategies) -----------------------------------
+
+# CoNLL-U-like text: lines of tab-joined fields, mostly ten of them, drawn
+# from numbers, multiword ranges, empty nodes, comments, Unicode digits,
+# odd whitespace, an integer too long for int() and short random text.
+CONLLU_FIELDS = st.one_of(
+    st.sampled_from(["1", "2", "3", "0", "_", "1-2", "1.1", "-1", "01", "NOUN", "the", "#", "",
+                     "\u0661", "\u00b2", " ", "\r", "\x0b", "\u2028", "9" * 5000]),
+    st.integers(0, 4).map(str),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+)
+CONLLU_LINES = st.one_of(
+    st.lists(CONLLU_FIELDS, min_size=10, max_size=10).map("\t".join),
+    st.lists(CONLLU_FIELDS, max_size=11).map("\t".join),
+    st.tuples(st.integers(0, 4), st.sampled_from(["a", "b"]), st.integers(0, 4)).map(
+        lambda f: f"{f[0]}\t{f[1]}\t_\tX\t_\t_\t{f[2]}\t_\t_\t_"),
+    st.just(""),
+)
+CONLLU_TEXTS = st.lists(CONLLU_LINES, max_size=8).map("\n".join)
+
+# Train configs: objects whose fields mostly hold values a config may
+# hold, so that some configs train, and now and then anything JSON holds:
+# every type, nonfinite floats (Python's json module reads and writes
+# them), unknown keys.  Sizes and counts stay small, since a network is
+# built and trained from them: an object starts from one epoch of a tiny
+# network, and keeps one epoch where it draws none (the default is 300).
+TINY_CONFIG = {"epochs": 1, "hidden": 4, "word_dim": 4, "feat_dim": 4}
+CONFIG_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["tagger", "parser", "tagparser", "sup", "rl", "rl-backtrack", "", "0.5", "nope.txt"]),
+)
+CONFIG_VALUES = st.one_of(
+    CONFIG_SCALARS,
+    st.lists(CONFIG_SCALARS, max_size=2),
+    st.dictionaries(st.sampled_from(["eps_floor", "eps_scale", "beta_decay", "x"]), CONFIG_SCALARS, max_size=2),
+)
+CONFIG_FIELDS = {
+    "alpha": st.floats(0.001, 1.0),
+    "gamma": st.floats(0.0, 1.0),
+    "seed": st.integers(0, 3),
+    "batch_size": st.integers(1, 3),
+    "epochs": st.integers(1, 2),
+    "k": st.integers(0, 2),
+    "hidden": st.integers(1, 6),
+    "word_dim": st.integers(1, 6),
+    "feat_dim": st.integers(1, 6),
+    "dropout": st.floats(0.0, 0.9),
+    "stop_score": st.none() | st.floats(0.0, 1.0),
+    "word_vectors": st.none(),
+    "schedule": st.dictionaries(
+        st.sampled_from(["eps_floor", "eps_scale", "eps_decay", "beta_scale", "beta_decay"]),
+        st.floats(0.0, 1.0), max_size=2),
+    "machine": st.sampled_from(["tagger", "parser", "tagparser"]),
+    "regime": st.sampled_from(["sup", "rl", "rl-backtrack"]),
+    "dev": st.none(),
+    "learning_rate": CONFIG_VALUES,  # not a TrainConfig field
+}
+
+
+def _tiny_config_json(values) -> bytes:
+    config = {**TINY_CONFIG, **values}
+    if config["epochs"] is None:
+        config["epochs"] = 1
+    return json.dumps(config).encode()
+
+
+CONFIGS = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        # one value in five from anything (a nested one_of would be flattened)
+        key: st.integers(0, 4).flatmap(lambda i, valid=valid: valid if i else CONFIG_VALUES)
+        for key, valid in CONFIG_FIELDS.items()
+    }).map(_tiny_config_json),
+    st.one_of(CONFIG_SCALARS, st.lists(CONFIG_SCALARS, max_size=2)).map(lambda v: json.dumps(v).encode()),
+    st.binary(max_size=20),
+)

@@ -11,6 +11,8 @@ from backparse.corpus import parse_conllu, serialize
 from backparse.neural import Model
 from helpers import (
     BAD_HEADER_NUMBERS,
+    CONFIGS,
+    CONLLU_TEXTS,
     alternation_corpus,
     corrupt_model,
     set_header_field,
@@ -379,3 +381,65 @@ class TestSplit:
         assert len(data) == 4
         covered = sorted(i for fold in data for i in fold["test"])
         assert covered == list(range(20))
+
+    @pytest.mark.parametrize("folds, proportions", [
+        ("10", "1"),
+        ("10", "1.5,-0.5"),
+        ("10", "1,nan"),
+        ("10", "1.5,-0.5,0"),
+        ("10", "nan,0.5,0.5"),
+        ("10", "0.8,x,0.1"),
+        ("10", "0.5,0.1,0.1"),
+        ("2", "0.1,0.8,0.1"),
+    ])
+    def test_bad_proportions_are_one_usage_error_line(self, tmp_path, capsys, folds, proportions):
+        corpus = tmp_path / "all.conllu"
+        corpus.write_text(serialize(alternation_corpus(10, seed=1)), encoding="utf-8")
+        out = tmp_path / "folds.json"
+        code = run("split", "--corpus", corpus, "--folds", folds, "--proportions", proportions, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"error: --proportions {proportions!r}: ")
+        assert not out.exists()
+
+
+class TestFuzzedInputs:
+    """Any corpus or config file either works or ends in one error line
+    with exit code 1 or 2: main returns, so a traceback fails the test."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(CONLLU_TEXTS.map(lambda text: text.encode("utf-8")), st.binary(max_size=40)))
+    def test_corpus_evaluates_or_is_one_error_line_naming_it(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "fuzz.conllu"
+        path.write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run("eval", "--pred", path, "--gold", path, "--json")
+        if code != 0:
+            assert code in (1, 2)
+            assert err.getvalue().count("\n") == 1 and err.getvalue().startswith(f"error: {path}")
+
+    @settings(max_examples=200, deadline=None)
+    @given(CONFIGS)
+    def test_config_trains_or_is_one_error_line(self, tmp_path_factory, config):
+        base = tmp_path_factory.getbasetemp()
+        corpus, cfg, out = base / "fuzz-train.conllu", base / "fuzz-config.json", base / "fuzz.bpm"
+        corpus.write_text(serialize(toy_grammar_corpus(2, seed=3)), encoding="utf-8")
+        cfg.write_bytes(config)
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run("train", "--corpus", corpus, "--config", cfg, "--out", out)
+        line = err.getvalue()
+        if code == 0:
+            assert out.exists()
+            return
+        assert code in (1, 2) and not out.exists()
+        assert line.count("\n") == 1 and line.startswith("error: ")
+        if code == 2:  # a usage error names the file or a key of the config
+            try:
+                value = json.loads(config)
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                value = None
+            keys = list(value) if isinstance(value, dict) else []
+            assert any(name in line for name in [str(cfg)] + [k.replace("_", "-") for k in keys] + keys)

@@ -1,10 +1,13 @@
+import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from backparse.corpus import (
     ConlluError,
+    ProportionsError,
     UNK_TAG,
     ValidationError,
     is_projective,
@@ -14,7 +17,7 @@ from backparse.corpus import (
     save_split_manifest,
     serialize,
 )
-from helpers import brute_projective, random_tree_heads, simple_sent
+from helpers import CONLLU_TEXTS, brute_projective, random_tree_heads, simple_sent
 
 
 def conllu_line(i, form, upos, head):
@@ -171,6 +174,20 @@ class TestParseConllu:
         assert len(parse_conllu(text)) == 2
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(CONLLU_TEXTS, st.booleans())
+    def test_fuzz_parses_or_raises_one_error_that_names_the_line(self, text, single_root):
+        try:
+            sentences = parse_conllu(text, single_root)
+        except ValueError as e:
+            assert isinstance(e, (ConlluError, ValidationError))
+            assert re.match(r"(line|block at line) \d+: ", str(e)) and "\n" not in str(e)
+        else:
+            for s in sentences:
+                assert [t.id for t in s.tokens] == list(range(1, s.n + 1))
+                assert all(0 <= t.head <= s.n for t in s.tokens)
+
+
 class TestProjectivity:
     def test_two_token_chain(self):
         assert is_projective(simple_sent([2, 0]))
@@ -229,6 +246,28 @@ class TestKfold:
     def test_bad_proportions(self):
         with pytest.raises(ValueError, match="sum to 1"):
             kfold_split(self.make(10), folds=2, seed=0, proportions=(0.5, 0.1, 0.1))
+
+    @pytest.mark.parametrize("proportions, message", [
+        ((1.0,), "three proportions"),
+        ((1.5, -0.5), "three proportions"),
+        ((1.0, math.nan), "three proportions"),
+        ((1.5, -0.5, 0.0), r"in \[0, 1\]"),
+        ((math.nan, 0.5, 0.5), r"in \[0, 1\]"),
+        ((math.inf, 0.0, 0.0), r"in \[0, 1\]"),
+        (("0.8", 0.1, 0.1), r"in \[0, 1\]"),
+    ])
+    def test_proportions_are_three_numbers_in_the_unit_interval(self, proportions, message):
+        with pytest.raises(ProportionsError, match=message):
+            kfold_split(self.make(10), folds=2, seed=0, proportions=proportions)
+
+    def test_dev_set_must_leave_a_training_sentence(self):
+        # Two folds of 10: a test fold of 5 leaves 5 sentences for dev and train.
+        with pytest.raises(ProportionsError, match="a dev set of 8 leaves no training sentence"):
+            kfold_split(self.make(10), folds=2, seed=0, proportions=(0.1, 0.8, 0.1))
+        with pytest.raises(ProportionsError, match="a dev set of 5 leaves no training sentence"):
+            kfold_split(self.make(10), folds=2, seed=0, proportions=(0.0, 0.5, 0.5))
+        for sp in kfold_split(self.make(10), folds=2, seed=0, proportions=(0.1, 0.4, 0.5)):
+            assert (len(sp.train_idx), len(sp.dev_idx), len(sp.test_idx)) == (1, 4, 5)
 
     def test_manifest_round_trip(self, tmp_path):
         splits = kfold_split(self.make(12), folds=3, seed=2)

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import random
 import tracemalloc
 import warnings
@@ -15,6 +16,7 @@ from backparse.machine import BACK, BACK_STATE, Configuration, Machine, NOBACK, 
 from backparse.neural import (
     BACK_ACTIONS,
     HEAD_BACK,
+    TABLE_BYTES,
     Model,
     QNetwork,
     head_for_state,
@@ -439,11 +441,17 @@ class TestWordVectors:
             assert all(v.dtype == np.float32 and np.isfinite(v).all() for v in vectors.values())
 
 
-def table_model(kind, k=1):
-    """A toy-vocabulary model whose dims let the precomputed table fit,
-    with a BACK bias that makes BACK fire."""
+# Network sizes (hidden, word, feature) of the table tests: dims whose
+# table has fewer rows than w1, and the desk size, whose table has more.
+TABLE_DIMS = {"wide": (64, 64, 32), "desk": (64, 32, 16)}
+
+
+def table_model(kind, k=1, dims="wide"):
+    """A toy-vocabulary model whose precomputed table fits, with a BACK
+    bias that makes BACK fire."""
     corpus = toy_grammar_corpus(8, seed=9)
-    model = build_model(kind, corpus, small_config(hidden=64, word_dim=64, feat_dim=32), k=k)
+    hidden, word_dim, feat_dim = TABLE_DIMS[dims]
+    model = build_model(kind, corpus, small_config(hidden=hidden, word_dim=word_dim, feat_dim=feat_dim), k=k)
     model.net.heads[HEAD_BACK][1][BACK_ACTIONS.index(BACK)] = 0.5
     assert model.net.table_fits
     return model, corpus
@@ -482,9 +490,12 @@ class TestPrecomputedTable:
                 checked += 1
         assert checked > 50
 
-    @pytest.mark.parametrize("kind", ["tagger", "parser", "tagparser"])
-    def test_decode_equals_the_direct_path(self, kind, monkeypatch):
-        model, corpus = table_model(kind)
+    @pytest.mark.parametrize("kind, dims", [
+        pytest.param(kind, dims, id=kind if dims == "wide" else f"{kind}-{dims}")
+        for dims in TABLE_DIMS for kind in ("tagger", "parser", "tagparser")
+    ])
+    def test_decode_equals_the_direct_path(self, kind, dims, monkeypatch):
+        model, corpus = table_model(kind, dims=dims)
         through_table = [decode(model, s, k=k) for k in (0, 1, 2) for s in corpus]
         assert model.net.table is not None
         model.net.table = None
@@ -522,17 +533,76 @@ class TestPrecomputedTable:
         tables.append(decodes_like_a_fresh_load())
         assert all(a is not b for a, b in zip(tables, tables[1:]))
 
-    def test_desk_size_models_never_build_a_table(self):
+    @staticmethod
+    def unfilled(words, hidden, word_dim, feat_dim, flags=9):
+        """A tagparser network with `words` word rows, allocated but never
+        written, so its pages are not faulted in (w1 is 73 MB at the
+        paper's size); the other vocabularies are the benchmark's."""
+        dims = {"word": word_dim, "pos": feat_dim, "letter": feat_dim, "action": feat_dim, "flag": feat_dim}
+        return QNetwork._unfilled(
+            slot_layout("tagparser"), {"word": words, "pos": 19, "letter": 29, "action": 26, "flag": flags},
+            dims, hidden, heads_for_kind("tagparser", 17), dropout=0.0)
+
+    @pytest.mark.parametrize("words, hidden, word_dim, feat_dim, rows, fits", [
+        # the desk fixture of the decode-long benchmark: 884 KB, w1 176 KB
+        (537, 64, 32, 16, 3452, True),
+        # the paper-size network with the paper-scale benchmark's vocabulary: 16.7 MB, w1 73 MB
+        (108, 3200, 300, 128, 1307, True),
+        # the paper-size network with a 20k-word vocabulary: 1.29 GB
+        (20007, 3200, 300, 128, 100802, False),
+    ], ids=["desk-bench", "paper-bench", "paper-20k-words"])
+    def test_a_table_fits_in_the_larger_of_w1_and_the_budget(self, words, hidden, word_dim, feat_dim, rows, fits):
+        net = self.unfilled(words, hidden, word_dim, feat_dim)
+        assert net._table_rows == rows
+        assert net.table_fits == fits
+
+    def test_the_budget_bound_is_inclusive(self):
+        # At hidden 64 the budget holds 65536 table rows; the flag space
+        # fills one slot, so its size sets the row count to the row.
+        base = self.unfilled(12900, 64, 32, 16)._table_rows
+        for extra, fits in ((0, True), (1, False)):
+            net = self.unfilled(12900, 64, 32, 16, flags=9 + TABLE_BYTES // (64 * 4) - base + extra)
+            assert net._table_rows * 64 * 4 == TABLE_BYTES + 64 * 4 * extra
+            assert net.table_fits == fits
+
+    def test_desk_size_models_decode_through_the_table(self, monkeypatch):
         rng = random.Random(4)
         words = [f"word{i}" for i in range(100)]
         corpus = [sent([rng.choice(words) for _ in heads], ["A"] * len(heads), heads)
                   for heads in (random_projective_heads(n, rng) for n in (3, 5, 7, 9) * 3)]
         for kind in ("tagger", "parser", "tagparser"):
             model = build_model(kind, corpus, small_config(hidden=64, word_dim=32, feat_dim=16), k=1)
-            assert not model.net.table_fits
+            assert model.net._table_rows > model.net.input_dim and model.net.table_fits
+            monkeypatch.setattr(model.net, "forward", None)  # decode must not call it
             for s in corpus:
                 decode(model, s)
-            assert model.net.table is None
+            assert model.net.table is not None
+
+    def test_legal_columns_follow_the_tuple_not_its_id(self, monkeypatch):
+        # A with_k model has a machine of its own, with fresh tag tuples.
+        # Here every legal_actions call also returns a fresh tuple, in
+        # alternating order, so the id of a tuple that was dropped comes
+        # back holding other actions unless the cache keeps its tuples.
+        model, corpus = table_model("tagparser", k=2)
+        legal_actions = Machine.legal_actions
+        flip = itertools.cycle((False, True))
+
+        def fresh(machine, c):
+            legal = list(legal_actions(machine, c))
+            return tuple(legal[::-1] if next(flip) else legal)
+
+        rng = random.Random(5)
+        walks = [(s, c) for s in corpus for c in random_legal_walk(model.machine, s, rng, steps=60, back_bias=0.3)
+                 if not c.terminal]
+        monkeypatch.setattr(Machine, "legal_actions", fresh)
+        for k in (0, 1, 2):
+            m = model.with_k(k)
+            assert m.machine.tag_actions is not model.machine.tag_actions
+            for s, c in walks:
+                head = head_for_state(c.state)
+                (q,), _ = m.net.forward(m.extractor.extract(c, s, m.machine)[None], [head])
+                legal, values = m.q_legal(c, s)
+                assert list(values) == [q[m.action_index(head, a)] for a in legal]
 
     @pytest.mark.parametrize("regime", [REGIME_SUP, REGIME_RL_BACKTRACK])
     def test_trained_models_keep_no_table(self, regime):
