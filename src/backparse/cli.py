@@ -61,6 +61,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, AssertionError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
 
 
 def _build_parser():
@@ -248,11 +251,15 @@ def cmd_train(args) -> int:
     log.info("training %s (%s) on %d sentences", kind, regime, len(train))
     # A step that diverges raises FloatingPointError, which main prints as
     # one error line; numpy's overflow warnings before it would add lines.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if regime == REGIME_SUP:
-            model, history = train_supervised(train, dev, kind, cfg)
-        else:
-            model, history = train_rl(train, dev, kind, cfg, regime)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if regime == REGIME_SUP:
+                model, history = train_supervised(train, dev, kind, cfg)
+            else:
+                model, history = train_rl(train, dev, kind, cfg, regime)
+    except MemoryError as e:
+        raise MemoryError(f"a network of hidden {cfg.hidden}, word dim {cfg.word_dim} and "
+                          f"feature dim {cfg.feat_dim} does not fit ({e})") from None
 
     model.save(args.out)
     if args.metrics:

@@ -113,8 +113,9 @@ def parse_conllu(text: str, single_root: bool = True) -> list[Sentence]:
             sentences.append(_validate(tuple(pending), pending_line, single_root))
             pending.clear()
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    # Lines end at \n only (a CRLF file's \r goes with it): str.splitlines
+    # would also end one inside a FORM, at \x0c, \x85, U+2028 and the like.
+    for line_no, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         if not line.strip():
             flush()
             continue

@@ -8,6 +8,7 @@ the configuration before the last word's actions.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 TAGGER = "tagger"
@@ -21,7 +22,9 @@ SYNT_STATE = "synt"
 
 
 class _Erased:
-    """Tape cell marker left where an undone write reverted to empty."""
+    """Tape cell marker left where an undone write reverted to empty.  There
+    is one instance (copies and unpickles included), so it compares by
+    identity."""
 
     _instance = None
 
@@ -33,19 +36,13 @@ class _Erased:
     def __repr__(self):
         return "-"
 
-    def __eq__(self, other):
-        return isinstance(other, _Erased)
-
-    def __hash__(self):
-        return hash(_Erased)
-
 
 ERASED = _Erased()
 EMPTY = None
 
 
 def cell_is_value(cell) -> bool:
-    return cell is not EMPTY and not isinstance(cell, _Erased)
+    return cell is not EMPTY and cell is not ERASED
 
 
 class IllegalActionError(ValueError):
@@ -94,36 +91,94 @@ _TOP_GOVERNED = (RIGHT, REDUCE, SHIFT)
 _TOP_UNGOVERNED = (LEFT, RIGHT, SHIFT)
 
 
-@dataclass(frozen=True)
-class Applied:
+class Applied(namedtuple("Applied", ("action", "reward"), defaults=(None,))):
     """A history entry: the action and its training reward."""
 
-    action: Action
-    reward: float | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Configuration:
-    state: str
-    word_index: int                  # 1-based; n+1 once every word is consumed
-    stack: tuple[int, ...]
-    pos_tape: tuple
-    gov_tape: tuple
-    back_counts: tuple[int, ...]
-    frontier: int                    # rightmost word index ever reached
-    terminal: bool
-    entry: Applied | None = None     # the action that made this configuration
-    n_actions: int = 0               # length of the history
-    # The configuration `entry` was applied to, and the one the last live
-    # NOBACK was applied to (None while nothing can be undone).  Both lead
-    # down the whole history, so neither is compared or printed.
-    prev: Configuration | None = field(default=None, compare=False, repr=False)
-    back_to: Configuration | None = field(default=None, compare=False, repr=False)
+class _Slots:
+    """A configuration's fields, one slot each."""
+
+    __slots__ = (
+        "state",
+        "word_index",    # 1-based; n+1 once every word is consumed
+        "stack",
+        # (leftmost, rightmost) dependent of each stack word, bottom first,
+        # then those of the current word, which has only LEFT dependents; 0
+        # for none
+        "deps",
+        "pos_tape",
+        "gov_tape",
+        "back_counts",
+        "frontier",      # rightmost word index ever reached
+        "terminal",
+        "entry",         # the Applied that made this configuration
+        "n_actions",     # length of the history
+        # The configuration `entry` was applied to, and the one the last
+        # live NOBACK was applied to (None while nothing can be undone).
+        # Both lead down the whole history, so neither is compared or printed.
+        "prev",
+        "back_to",
+        "__weakref__",
+    )
+
+
+class _Draft(_Slots):
+    """Sets a configuration's fields, then makes it a Configuration, whose
+    __setattr__ refuses every write.  apply makes one per action, and plain
+    slot writes on a class that keeps object's __setattr__ cost a fifth of
+    a frozen dataclass's object.__setattr__ call per field."""
+
+    __slots__ = ()
+
+    def __init__(self, state, word_index, stack, deps, pos_tape, gov_tape, back_counts, frontier,
+                 terminal, entry=None, n_actions=0, prev=None, back_to=None):
+        self.state = state
+        self.word_index = word_index
+        self.stack = stack
+        self.deps = deps
+        self.pos_tape = pos_tape
+        self.gov_tape = gov_tape
+        self.back_counts = back_counts
+        self.frontier = frontier
+        self.terminal = terminal
+        self.entry = entry
+        self.n_actions = n_actions
+        self.prev = prev
+        self.back_to = back_to
+        self.__class__ = Configuration
+
+
+class Configuration(_Slots):
+    """An immutable machine configuration; construct it with the fields in
+    _Slots order."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named):
+        return _Draft(*fields, **named)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Configuration is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Configuration is immutable: cannot delete {name!r}")
 
     def __eq__(self, other):
         if not isinstance(other, Configuration):
             return NotImplemented
         return self.core_fields() == other.core_fields() and self.log == other.log
+
+    def __hash__(self):
+        return hash(self.core_fields())
+
+    def __repr__(self):
+        printed = _Slots.__slots__[:-3]  # all but prev, back_to and __weakref__
+        return f"Configuration({', '.join(f'{f}={getattr(self, f)!r}' for f in printed)})"
+
+    def __reduce__(self):  # copies and pickles
+        return _Draft, tuple(getattr(self, f) for f in _Slots.__slots__[:-1])
 
     @property
     def n(self) -> int:
@@ -225,20 +280,20 @@ class Machine:
     def initial(self, sentence) -> Configuration:
         n = sentence.n
         state, terminal = self._settle(BACK_STATE, 1, n, (), (0,) * n, None)
-        return Configuration(state, 1, (), (EMPTY,) * n, (EMPTY,) * n, (0,) * n, 1, terminal)
+        return _Draft(state, 1, (), ((0, 0),), (EMPTY,) * n, (EMPTY,) * n, (0,) * n, 1, terminal)
 
     def legal_actions(self, c: Configuration) -> tuple[Action, ...]:
         """Legal actions, in the fixed per-head order used everywhere."""
         if c.terminal:
             raise TerminalError("terminal configuration has no legal actions")
         if c.state == BACK_STATE:
-            if self._back_possible(c.back_counts, c.word_index, c.n, c.back_to):
+            if self._back_possible(c.back_counts, c.word_index, len(c.pos_tape), c.back_to):
                 return _BACK_OR_NOT
             return _NOBACK_ONLY
         if c.state == POS_STATE:
             return self.tag_actions
         # SYNT
-        if c.word_index > c.n:
+        if c.word_index > len(c.pos_tape):
             return _REDUCE_ONLY  # end-of-sentence stack cleanup
         if not c.stack:
             return _SHIFT_ONLY
@@ -247,7 +302,7 @@ class Machine:
         return _TOP_UNGOVERNED
 
     def back_allowed(self, c: Configuration) -> bool:
-        return self._back_possible(c.back_counts, c.word_index, c.n, c.back_to)
+        return self._back_possible(c.back_counts, c.word_index, len(c.pos_tape), c.back_to)
 
     def _back_possible(self, back_counts, word_index, n, back_to) -> bool:
         if self.k == 0 or n == 0:
@@ -289,37 +344,55 @@ class Machine:
     def apply(self, c: Configuration, a: Action, reward: float | None = None) -> Configuration:
         if c.terminal:
             raise TerminalError("cannot apply an action to a terminal configuration")
-        if a not in self.legal_actions(c):
-            raise IllegalActionError(f"{a}: {self._why_illegal(c, a)}")
+        legal = self.legal_actions(c)
+        # Callers pass the machine's own action objects, so an identity hit
+        # saves Action.__eq__ on the actions listed before `a`.
+        for x in legal:
+            if x is a:
+                break
+        else:
+            if a not in legal:
+                raise IllegalActionError(f"{a}: {self._why_illegal(c, a)}")
+        kind = a.kind
         entry = Applied(a, reward)
-        if a.kind == "back":
+        if kind == "back":
             return self._back(c, entry)
-        wi, stack, pos_tape, gov_tape = c.word_index, c.stack, c.pos_tape, c.gov_tape
-        if a.kind == "tag":
+        wi, stack, deps, pos_tape, gov_tape = c.word_index, c.stack, c.deps, c.pos_tape, c.gov_tape
+        if kind == "tag":
             pos_tape = _set(pos_tape, wi - 1, a.tag)
             if self.kind == TAGGER:
                 wi += 1
-        elif a.kind == "left":
-            gov_tape = _set(gov_tape, stack[-1] - 1, wi)
+        elif kind == "left":
+            # The top becomes the current word's new leftmost dependent; its
+            # first one stays the rightmost.
+            top = stack[-1]
+            gov_tape = _set(gov_tape, top - 1, wi)
             stack = stack[:-1]
-        elif a.kind == "right":
+            deps = deps[:-2] + ((top, deps[-1][1] or top),)
+        elif kind == "right":
+            # The current word becomes the top's rightmost dependent, goes on
+            # the stack with its dependents, and the next word has none.
             gov_tape = _set(gov_tape, wi - 1, stack[-1])
             stack += (wi,)
+            deps = deps[:-2] + ((deps[-2][0] or wi, wi), deps[-1], (0, 0))
             wi += 1
-        elif a.kind == "shift":
+        elif kind == "shift":
             stack += (wi,)
+            deps += ((0, 0),)
             wi += 1
-        elif a.kind == "reduce":
+        elif kind == "reduce":
             top = stack[-1]
-            if wi > c.n and not cell_is_value(gov_tape[top - 1]):
+            if wi > len(pos_tape) and not cell_is_value(gov_tape[top - 1]):
                 gov_tape = _set(gov_tape, top - 1, 0)  # cleanup: headless words go to the root
             stack = stack[:-1]
-        back_to = c if a.kind == "noback" else c.back_to
+            deps = deps[:-2] + deps[-1:]
+        back_to = c if kind == "noback" else c.back_to
         state, terminal = self._settle(
-            _NEXT_STATE[self.kind][a.kind], wi, c.n, stack, c.back_counts, back_to
+            _NEXT_STATE[self.kind][kind], wi, len(pos_tape), stack, c.back_counts, back_to
         )
-        return Configuration(state, wi, stack, pos_tape, gov_tape, c.back_counts,
-                             max(c.frontier, wi), terminal, entry, c.n_actions + 1, c, back_to)
+        frontier = c.frontier if c.frontier > wi else wi
+        return _Draft(state, wi, stack, deps, pos_tape, gov_tape, c.back_counts, frontier, terminal,
+                      entry, c.n_actions + 1, c, back_to)
 
     def undo(self, c: Configuration, a: Action) -> Configuration:
         """Exact inverse of apply; `a` must be the most recent log entry."""
@@ -346,13 +419,16 @@ class Machine:
         """Return to `c.back_to`, the configuration the last live NOBACK was
         applied to, but keep what the undone span saw: the frontier stays,
         the current word's undo counter rises, and every tape cell the span
-        wrote reads ERASED, not empty, so later feature extraction can tell."""
+        wrote reads ERASED, not empty, so later feature extraction can tell.
+        No action writes over a value, so those cells held none at
+        `c.back_to`, and the arcs and the stack dependents are its own."""
         q = c.back_to
-        idx = min(c.word_index, c.n) - 1
+        idx = min(c.word_index, len(c.pos_tape)) - 1
         counts = _set(c.back_counts, idx, c.back_counts[idx] + 1)
-        return Configuration(BACK_STATE, q.word_index, q.stack, _erase(c.pos_tape, q.pos_tape),
-                             _erase(c.gov_tape, q.gov_tape), counts, c.frontier, False,
-                             entry, c.n_actions + 1, c, q.back_to)
+        pos_cells, gov_cells = _cells_written(c, q)
+        return _Draft(BACK_STATE, q.word_index, q.stack, q.deps, _erase(q.pos_tape, pos_cells),
+                      _erase(q.gov_tape, gov_cells), counts, c.frontier, False, entry,
+                      c.n_actions + 1, c, q.back_to)
 
     def _settle(self, state, word_index, n, stack, back_counts, back_to):
         """State and terminal flag after the free transitions that follow
@@ -375,11 +451,34 @@ def _set(tape: tuple, idx: int, value) -> tuple:
     return tape[:idx] + (value,) + tape[idx + 1 :]
 
 
-def _erase(tape: tuple, before: tuple) -> tuple:
-    """`tape` with ERASED in every cell that differs from `before`."""
-    if tape is before:
+def _cells_written(c: Configuration, q: Configuration) -> tuple[list[int], list[int]]:
+    """The pos and gov tape cells the actions from q to c wrote.  The walk
+    from c down to q passes every action applied since q, those of undone
+    spans included, since a BACK's configuration points to the one BACK was
+    applied to.  (A REDUCE writes only in end-of-sentence cleanup, which no
+    BACK state follows.)"""
+    pos_cells, gov_cells = [], []
+    while c is not q:
+        p = c.prev
+        kind = c.entry.action.kind
+        if kind == "tag":
+            pos_cells.append(p.word_index - 1)
+        elif kind == "right":
+            gov_cells.append(p.word_index - 1)
+        elif kind == "left":
+            gov_cells.append(p.stack[-1] - 1)
+        c = p
+    return pos_cells, gov_cells
+
+
+def _erase(tape: tuple, cells) -> tuple:
+    """`tape` with ERASED in `cells`."""
+    if not cells:
         return tape
-    return tuple(cell if cell == old else ERASED for cell, old in zip(tape, before))
+    out = list(tape)
+    for i in cells:
+        out[i] = ERASED
+    return tuple(out)
 
 
 def replay(machine: Machine, sentence, log) -> Configuration:

@@ -172,7 +172,9 @@ class FeatureExtractor:
         self._letter_pad = letter_v.id(PAD)
         self._action_pad = vocabs["action"].id(PAD)
         self._flag = (vocabs["flag"].id("0"), vocabs["flag"].id("1"))
-        self._pos_index = pos_v.index
+        # A pos tape cell's id: a tag's, or the marker of an empty or erased
+        # cell (a tag is a string, so neither marker shadows one).
+        self._cell_ids = {**pos_v.index, EMPTY: self._pos_not_seen, ERASED: self._pos_erased}
         self._sentence_ids = None
         self._last = None
 
@@ -190,61 +192,51 @@ class FeatureExtractor:
         return ids
 
     def _extract(self, c: Configuration, s: Sentence, machine: Machine) -> np.ndarray:
-        tokens = s.tokens
-        wi, n, frontier = c.word_index, len(tokens), c.frontier
-        pos_feature = self._pos_feature
-        ids = [pos_feature(c, tokens, wi + d) for d in WINDOW]
-
-        word_ids, affix_ids = self._token_ids(s)
+        word_ids, affix_ids, gold_tags = self._token_ids(s)
+        wi, n, frontier = c.word_index, len(word_ids), c.frontier
+        # The pos id of a word p in 1..frontier is that of its tape cell, or
+        # of its gold tag for the parser, which never tags.
+        tape = gold_tags if self.kind == PARSER else c.pos_tape
+        pos = self._cell_ids.get
+        ids, words = [], []
         for d in WINDOW:
             p = wi + d
             if p < 1 or p > n:
-                ids.append(self._word_oob)
+                ids.append(self._pos_oob)
+                words.append(self._word_oob)
             elif p > frontier:
-                ids.append(self._word_not_seen)
+                ids.append(self._pos_not_seen)
+                words.append(self._word_not_seen)
             else:
-                ids.append(word_ids[p - 1])
+                ids.append(pos(tape[p - 1], 0))
+                words.append(word_ids[p - 1])
+        ids += words
 
         if self.kind != TAGGER:
-            stack, tape = c.stack, c.gov_tape
-            # Every governor cell the machine writes belongs to a word left of
-            # the frontier, which never moves left, so the cells from the
-            # frontier on are EMPTY and hold no dependent.
-            written = tape[: frontier - 1]
+            # A stack word's governor and dependents are words left of the
+            # frontier, which have pos ids.
+            stack, deps, gov_tape = c.stack, c.deps, c.gov_tape
             no_dep = self._pos_no_dep
-            reverse = None
-            for r in range(STACK_DEPTH):
-                if r >= len(stack):
-                    ids += [self._pos_empty_stack] * 3
-                    continue
-                e = stack[-1 - r]
-                gov = tape[e - 1]
+            for r in range(1, min(len(stack), STACK_DEPTH) + 1):
+                gov = gov_tape[stack[-r] - 1]
                 if gov is ERASED:
                     ids.append(self._pos_erased)
                 elif gov is EMPTY or gov == 0:
                     ids.append(no_dep)
                 else:
-                    ids.append(pos_feature(c, tokens, gov))
-                # The dependents of e are the cells equal to e.  Since e >= 1
-                # and neither EMPTY nor ERASED equals an int, the tuple's own
-                # search finds exactly them: its first hit is the leftmost,
-                # the first hit in the reversed cells the rightmost.
-                if e in written:
-                    if reverse is None:
-                        reverse = written[::-1]
-                    ids.append(pos_feature(c, tokens, written.index(e) + 1))
-                    ids.append(pos_feature(c, tokens, len(written) - reverse.index(e)))
-                else:
-                    ids += [no_dep, no_dep]
+                    ids.append(pos(tape[gov - 1], 0))
+                left, right = deps[-1 - r]
+                ids.append(pos(tape[left - 1], 0) if left else no_dep)
+                ids.append(pos(tape[right - 1], 0) if right else no_dep)
+            ids += [self._pos_empty_stack] * (3 * max(0, STACK_DEPTH - len(stack)))
 
         action = self.vocabs["action"].index.get
         node = c  # the last HISTORY_LEN actions, newest first, then padding
-        for _ in range(HISTORY_LEN):
-            if node.entry is None:
-                ids.append(self._action_pad)
-            else:
-                ids.append(action(node.entry.action.symbol, 0))
-                node = node.prev
+        recent = min(c.n_actions, HISTORY_LEN)
+        for _ in range(recent):
+            ids.append(action(node.entry.action.symbol, 0))
+            node = node.prev
+        ids += [self._action_pad] * (HISTORY_LEN - recent)
 
         if wi > n:
             ids += [self._letter_oob] * (2 * AFFIX_LEN)
@@ -255,9 +247,9 @@ class FeatureExtractor:
         return np.fromiter(ids, np.int64, len(ids))
 
     def _token_ids(self, s: Sentence):
-        """Each token's word id and its prefix+suffix letter ids.  They do
-        not depend on the configuration, so they are computed once for the
-        sentence last asked about."""
+        """Each token's word id, its prefix+suffix letter ids and its gold
+        tag.  They do not depend on the configuration, so they are computed
+        once for the sentence last asked about."""
         memo = self._sentence_ids
         if memo is None or memo[0] is not s:
             word = self.vocabs["word"].index.get
@@ -270,22 +262,8 @@ class FeatureExtractor:
                 word_ids.append(word(t.form, 0))
                 # a short word pads its prefix on the right, its suffix on the left
                 affix_ids.append(prefix + pad[len(prefix):] + pad[len(suffix):] + suffix)
-            memo = self._sentence_ids = (s, word_ids, affix_ids)
-        return memo[1], memo[2]
-
-    def _pos_feature(self, c, tokens, p) -> int:
-        if p < 1 or p > len(tokens):
-            return self._pos_oob
-        if p > c.frontier:
-            return self._pos_not_seen
-        if self.kind == PARSER:
-            return self._pos_index.get(tokens[p - 1].upos, 0)
-        cell = c.pos_tape[p - 1]
-        if cell is ERASED:
-            return self._pos_erased
-        if cell is EMPTY:
-            return self._pos_not_seen  # value still pending at or past wi
-        return self._pos_index.get(cell, 0)
+            memo = self._sentence_ids = (s, word_ids, affix_ids, tuple(t.upos for t in s.tokens))
+        return memo[1:]
 
 
 # ----------------------------------------------------------------------
@@ -552,10 +530,10 @@ class QNetwork:
         """Q-values of one head with dropout off, read through the table;
         they equal forward's up to float rounding (the sum is taken in
         another order)."""
-        h = self.table.take(self._table_base + ids, axis=0).sum(axis=0)
+        h = np.add.reduce(self.table.take(self._table_base + ids, axis=0), axis=0)
         h += self.b1
         w, b = self.heads[head]
-        return np.maximum(h, 0) @ w + b
+        return np.maximum(h, 0, out=h) @ w + b
 
     # -- forward / backward ----------------------------------------------
 
@@ -721,7 +699,9 @@ def supervised_update(net, examples, alpha, drop_rng=None) -> float:
 
 
 def head_for_state(state: str) -> str:
-    return {BACK_STATE: HEAD_BACK, POS_STATE: HEAD_TAG}.get(state, HEAD_PARSE)
+    if state == BACK_STATE:
+        return HEAD_BACK
+    return HEAD_TAG if state == POS_STATE else HEAD_PARSE
 
 
 def heads_for_kind(kind: str, n_tags: int) -> dict[str, int]:
@@ -790,7 +770,7 @@ class Model:
 
     def greedy_action(self, c: Configuration, s: Sentence) -> Action:
         legal, values = self.q_legal(c, s)
-        return legal[int(np.argmax(values))]
+        return legal[values.argmax()]
 
     # -- serialization -----------------------------------------------------
 

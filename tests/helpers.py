@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from backparse.corpus import Sentence, Token, is_projective
-from backparse.machine import Machine, cell_is_value
+from backparse.machine import ERASED, Machine, cell_is_value
 from backparse.training import ExplorationSchedule, TrainConfig
 
 
@@ -66,6 +66,13 @@ def random_legal_walk(machine: Machine, sentence, rng, steps, back_bias=0.5):
         c = machine.apply(c, a)
         visited.append(c)
     return visited
+
+
+def erase_reference(tape, before):
+    """A tape after BACK, by comparing whole tapes: `tape`, the one BACK was
+    applied to, with ERASED in every cell that differs from `before`, the
+    one of the configuration BACK returns to."""
+    return tuple(cell if cell == old else ERASED for cell, old in zip(tape, before))
 
 
 # ----------------------------------------------------------------------

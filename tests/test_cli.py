@@ -177,6 +177,17 @@ class TestTrain:
         assert err.count("\n") == 1 and err.startswith("error: non-finite")
         assert not (tmp_path / "m.bpm").exists()
 
+    def test_network_too_large_to_allocate_is_one_error_line(self, tmp_path, corpus_file, capsys):
+        # numpy refuses the petabytes of this w1 at once, without touching
+        # memory; never test with a size that can actually be allocated.
+        code = run("train", "--corpus", corpus_file, "--machine", "tagparser", "--epochs", "1",
+                   "--hidden", "1000000000000", "--out", tmp_path / "m.bpm")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: out of memory: a network of hidden "
+                                                       "1000000000000, word dim 300 and feature dim 128")
+        assert not (tmp_path / "m.bpm").exists()
+
     def test_rl_backtrack_model_honours_k(self, tmp_path):
         corpus = tmp_path / "amb.conllu"
         corpus.write_text(serialize(alternation_corpus(15, seed=4)), encoding="utf-8")

@@ -173,6 +173,23 @@ class TestParseConllu:
         text = TWO_TOKENS + "\n" + TWO_TOKENS
         assert len(parse_conllu(text)) == 2
 
+    @pytest.mark.parametrize("breaker", ["\u2028", "\u2029", "\x85", "\x0c", "\x0b", "\x1c", "\r"])
+    def test_only_newline_ends_a_line(self, breaker):
+        # str.splitlines would end the line inside the FORM; the later error
+        # must then name the file's own line 5.
+        form = f"a{breaker}b"
+        text = conllu_line(1, form, "X", 0) + "\n\n" + conllu_line(1, "c", "X", 0) + "\n"
+        (s, t) = parse_conllu(text)
+        assert s.form(1) == form
+        assert parse_conllu(serialize([s, t])) == [s, t]
+        with pytest.raises(ConlluError, match="^line 5: expected 10 columns"):
+            parse_conllu(text + "\n1\tbad\n")
+
+    def test_crlf_line_ends(self):
+        text = TWO_TOKENS.replace("\n", "\r\n") + "\r\n" + TWO_TOKENS.replace("\n", "\r\n")
+        assert parse_conllu(text) == parse_conllu(TWO_TOKENS + "\n" + TWO_TOKENS)
+        assert parse_conllu(text)[0].form(2) == "cat"
+
 
     @settings(max_examples=300, deadline=None)
     @given(CONLLU_TEXTS, st.booleans())

@@ -1,5 +1,7 @@
+import copy
 import gc
 import hashlib
+import pickle
 import random
 import weakref
 
@@ -17,6 +19,7 @@ from backparse.machine import (
     RIGHT,
     SHIFT,
     SYNT_STATE,
+    Action,
     IllegalActionError,
     Machine,
     TerminalError,
@@ -132,6 +135,33 @@ class TestApply:
         c = m.apply(m.initial(simple_sent([2, 0])), NOBACK)
         with pytest.raises(IllegalActionError, match="stack"):
             m.apply(c, LEFT)
+
+    def test_configurations_are_immutable(self):
+        m = Machine("parser", k=0)
+        c = m.apply(m.initial(simple_sent([2, 0])), NOBACK)
+        with pytest.raises(AttributeError):
+            c.stack = (1,)
+        with pytest.raises(AttributeError):
+            c.extra = 1
+        assert c.stack == ()
+
+    def test_configurations_copy_pickle_and_hash(self):
+        m = Machine("parser", k=1)
+        s = simple_sent([2, 0, 2])
+        c = m.initial(s)
+        for a in (NOBACK, SHIFT, NOBACK, LEFT, SHIFT, BACK):
+            c = m.apply(c, a)
+        for other in (copy.deepcopy(c), pickle.loads(pickle.dumps(c)), replay(m, s, c.log)):
+            assert type(other) is type(c) and other == c and hash(other) == hash(c)
+            assert other.deps == c.deps and other.gov_tape[0] is ERASED
+
+    def test_an_equal_action_object_is_legal_too(self):
+        m = Machine("tagparser", k=0, tags=TAGS)
+        c = m.apply(m.initial(simple_sent([0, 1])), Action("noback"))
+        c = m.apply(c, Action("tag", TAGS[-1]))
+        assert m.apply(c, Action("shift")) == m.apply(c, SHIFT)
+        with pytest.raises(IllegalActionError):
+            m.apply(c, Action("tag", TAGS[-1]))
 
     def test_tagparser_tag_does_not_advance(self):
         m = Machine("tagparser", k=0, tags=TAGS)

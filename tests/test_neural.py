@@ -43,6 +43,7 @@ from helpers import (
     dense_params,
     dense_w1,
     emb_grad_triples,
+    erase_reference,
     random_legal_walk,
     random_tagged_sentence,
     sent,
@@ -182,20 +183,29 @@ class TestFeatures:
         return pos_v.id(cell) if cell_is_value(cell) else pos_v.id(NOT_SEEN)
 
     @pytest.mark.parametrize("kind", ["parser", "tagparser"])
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_dependent_slots_match_brute_force_scan(self, kind, k):
-        rng = random.Random(31 + k)
-        corpus = [random_tagged_sentence(rng.randint(2, 12), rng, projective=False)
-                  for _ in range(12)]
+    @pytest.mark.parametrize("k,lengths,count", [(1, (2, 12), 12), (2, (2, 12), 12), (2, (40, 160), 4)],
+                             ids=["1", "2", "2-long"])
+    def test_dependent_slots_match_brute_force_scan(self, kind, k, lengths, count):
+        # The slots read the dependents each configuration carries; the
+        # reference scans the whole governor tape.  Each BACK's tapes are
+        # checked against the whole-tape comparison on the same walks.
+        rng = random.Random(31 + k + lengths[0])
+        corpus = [random_tagged_sentence(rng.randint(*lengths), rng, projective=False)
+                  for _ in range(count)]
         tags = tag_inventory(corpus)
         vocabs = build_vocabs(corpus, tags)
         pos_v = vocabs["pos"]
         m = Machine(kind, k=k, tags=() if kind == "parser" else tags)
         ex = FeatureExtractor(kind, vocabs)
         names = [name for _, name in ex.layout]
-        erased_seen = spread_seen = 0
+        erased_seen = spread_seen = backs_seen = 0
         for s in corpus:
-            for c in random_legal_walk(m, s, rng, steps=120, back_bias=0.3):
+            for c in random_legal_walk(m, s, rng, steps=max(120, 8 * s.n), back_bias=0.3):
+                if c.entry is not None and c.entry.action == BACK:
+                    before, q = c.prev, c.prev.back_to
+                    assert c.pos_tape == erase_reference(before.pos_tape, q.pos_tape)
+                    assert c.gov_tape == erase_reference(before.gov_tape, q.gov_tape)
+                    backs_seen += 1
                 if c.terminal:
                     continue
                 ids = ex.extract(c, s, m)
@@ -211,7 +221,7 @@ class TestFeatures:
                                 if deps else pos_v.id(NO_DEP_GOV) for pick in (min, max)]
                     got = [ids[names.index(f"s{r}.ldep.pos")], ids[names.index(f"s{r}.rdep.pos")]]
                     assert got == want, (c, r)
-        assert erased_seen > 0 and spread_seen > 0
+        assert erased_seen > 0 and spread_seen > 0 and backs_seen > 0
 
 
 class TestQLegal:
