@@ -132,11 +132,12 @@ def _build_parser():
     return p
 
 
-def _read_corpus(path, single_root=True):
+def _read_corpus(path, single_root=True, role="corpus"):
     """The sentences of a CoNLL-U file; an error in it is one ValueError
-    that names the file (`path:line: ...` or `path: block at line N: ...`)."""
+    that names the file (`path:line: ...` or `path: block at line N: ...`).
+    A missing file is a usage error that names its `role` too."""
     if not os.path.exists(path):
-        raise UsageError(f"corpus file not found: {path}")
+        raise UsageError(f"{role} file not found: {path}")
     try:
         with open(path, encoding="utf-8") as f:
             return parse_conllu(f.read(), single_root)
@@ -246,7 +247,7 @@ def cmd_train(args) -> int:
     train = _read_corpus(corpus_path)
     if not train:
         raise UsageError(f"corpus {corpus_path} holds no sentences")
-    dev = _read_corpus(dev_path) if dev_path else []
+    dev = _read_corpus(dev_path, role="dev corpus") if dev_path else []
 
     log.info("training %s (%s) on %d sentences", kind, regime, len(train))
     # A step that diverges raises FloatingPointError, which main prints as

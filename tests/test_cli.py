@@ -64,6 +64,12 @@ class TestTrain:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_missing_dev_corpus_is_usage_error_naming_dev(self, tmp_path, corpus_file, capsys):
+        code = run(*train_args(corpus_file, tmp_path / "m.bpm", "--dev", tmp_path / "nope.conllu"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: dev corpus file not found: ")
+        assert not (tmp_path / "m.bpm").exists()
+
     def test_k_conflicts_with_sup(self, tmp_path, corpus_file, capsys):
         code = run(*train_args(corpus_file, tmp_path / "m.bpm", "--k", "1"))
         assert code == 2
